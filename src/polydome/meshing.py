@@ -23,6 +23,9 @@ _STL_HEADER_TAG = b"polydome binary STL"
 # 50 bytes per triangle: float32 normal, three float32 vertices, uint16 attribute.
 _STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attr", "<u2")])
 
+# Rows per OBJ formatting call: bounds the temporary Python list a chunk needs.
+_OBJ_CHUNK = 1 << 14
+
 
 class NonWatertightError(ValueError):
     """Mesh has edges not shared by exactly two consistently wound triangles."""
@@ -93,30 +96,39 @@ class TriangleMesh:
         lengths = np.linalg.norm(normals, axis=1)
         return normals / np.where(lengths > 0.0, lengths, 1.0)[:, None]
 
-    def _directed_edges(self) -> np.ndarray:
-        t = self.triangles
-        return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    def _edge_runs(self, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending distinct edge keys and how many triangle sides use each.
+
+        A side (a, b) has the key ``a*V + b`` when ``directed``, else
+        ``min(a, b)*V + max(a, b)``, where V is the vertex count.
+        """
+        src = self.triangles.ravel()
+        dst = self.triangles[:, [1, 2, 0]].ravel()
+        if not directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        # Keys are exact while V**2 < 2**63, i.e. for fewer than 3.03e9 vertices.
+        keys = np.sort(src * self.vertex_count + dst)
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        return keys[starts], np.diff(starts, append=keys.size)
 
     def edge_count(self) -> int:
         """Number of distinct undirected edges."""
-        if not self.triangle_count:
-            return 0
-        return len(np.unique(np.sort(self._directed_edges(), axis=1), axis=0))
+        return len(self._edge_runs(directed=False)[0])
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count() + self.triangle_count
 
     def defective_edges(self) -> list[tuple[int, int]]:
         """Undirected edges not used exactly twice, or reused in one direction."""
-        if not self.triangle_count:
-            return []
-        directed = self._directed_edges()
-        undirected, counts = np.unique(np.sort(directed, axis=1), axis=0, return_counts=True)
-        bad = {(int(a), int(b)) for a, b in undirected[counts != 2]}
-        directed_unique, directed_counts = np.unique(directed, axis=0, return_counts=True)
-        for a, b in directed_unique[directed_counts > 1]:
-            bad.add(tuple(sorted((int(a), int(b)))))
-        return sorted(bad)
+        V = self.vertex_count
+        undirected, uses = self._edge_runs(directed=False)
+        directed, repeats = self._edge_runs(directed=True)
+        a, b = np.divmod(directed[repeats > 1], V)
+        bad = np.union1d(undirected[uses != 2], np.minimum(a, b) * V + np.maximum(a, b))
+        lo, hi = np.divmod(bad, V)
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def is_watertight(self) -> bool:
         return not self.defective_edges()
@@ -204,10 +216,18 @@ def write_stl(mesh: TriangleMesh, destination) -> int:
     return len(payload)
 
 
+def _obj_records(record: str, rows: np.ndarray) -> str:
+    """``record`` formatted once per row, ``_OBJ_CHUNK`` rows per ``%``."""
+    return "".join(
+        (record * len(chunk)) % tuple(chunk.ravel().tolist())
+        for chunk in (rows[start:start + _OBJ_CHUNK] for start in range(0, len(rows), _OBJ_CHUNK))
+    )
+
+
 def write_obj(mesh: TriangleMesh, destination) -> int:
     """Write text OBJ (``v``/``f`` records only, LF endings, 9 significant
     digits) and return the number of lines written."""
-    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices]
-    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.triangles]
-    write_text(destination, "\n".join(lines) + "\n" if lines else "")
-    return len(lines)
+    text = _obj_records("v %.9g %.9g %.9g\n", mesh.vertices)
+    text += _obj_records("f %d %d %d\n", mesh.triangles + 1)
+    write_text(destination, text)
+    return mesh.vertex_count + mesh.triangle_count

@@ -98,50 +98,38 @@ def slab_stack_mesh(stack: SlabStack, spec: SolidSpec) -> TriangleMesh:
     Includes the exposed flat ring wherever a slab steps inward from the one
     below it; both caps are fanned from their first corner.
     """
-    n = spec.n
+    n, m = spec.n, stack.m
     cos_half = math.cos(math.pi / n)
     angles = -math.pi / n + np.arange(n) * (2.0 * math.pi / n)
     ux = np.cos(angles) / cos_half
     uy = np.sin(angles) / cos_half
 
-    ring_arrays: list[np.ndarray] = []
-
-    def add_ring(apothem: float, z: float) -> int:
-        ring_arrays.append(np.column_stack([apothem * ux, apothem * uy, np.full(n, z)]))
-        return (len(ring_arrays) - 1) * n
-
-    h = stack.slab_height
-    base = add_ring(stack.apothems[0], 0.0)
-    wall_bottom = [base]
-    wall_top: list[int] = []
-    step_rings: list[tuple[int, int]] = []
-    for i in range(stack.m):
-        z_top = (i + 1) * h
-        if i < stack.m - 1:
-            outer = add_ring(stack.apothems[i], z_top)
-            inner = add_ring(stack.apothems[i + 1], z_top)
-            wall_top.append(outer)
-            step_rings.append((outer, inner))
-            wall_bottom.append(inner)
-        else:
-            top = add_ring(stack.apothems[i], z_top)
-            wall_top.append(top)
+    # Ring 0 is the base; ring 2i+1 is the top of slab i and ring 2i+2 the
+    # bottom of slab i+1, at the same height; ring 2m-1 is the top cap.
+    ring = np.arange(2 * m)
+    apothem = np.asarray(stack.apothems)[ring // 2][:, None]
+    z = ((ring + 1) // 2) * stack.slab_height
+    vertices = np.stack([apothem * ux, apothem * uy, np.repeat(z[:, None], n, axis=1)], axis=-1)
 
     k = np.arange(n)
     k1 = (k + 1) % n
     fan = np.arange(1, n - 1)
+    base, top = 0, (2 * m - 1) * n
+
+    def bands(lower: np.ndarray) -> np.ndarray:
+        # two triangles per side between each ring offset in ``lower`` and the next ring
+        a = lower[:, None]
+        b = a + n
+        halves = [np.stack([a + k, a + k1, b + k1], axis=-1), np.stack([a + k, b + k1, b + k], axis=-1)]
+        return np.stack(halves, axis=1).reshape(-1, 3)
+
     triangles = [
         np.column_stack([np.full(n - 2, base), base + fan + 1, base + fan]),  # cap faces -z
         np.column_stack([np.full(n - 2, top), top + fan, top + fan + 1]),  # cap faces +z
+        bands(ring[0::2] * n),  # slab walls
+        bands(ring[1:-1:2] * n),  # steps, the exposed flat rings
     ]
-    for bottom, top_ring in zip(wall_bottom, wall_top):
-        triangles.append(np.column_stack([bottom + k, bottom + k1, top_ring + k1]))
-        triangles.append(np.column_stack([bottom + k, top_ring + k1, top_ring + k]))
-    for outer, inner in step_rings:
-        triangles.append(np.column_stack([outer + k, outer + k1, inner + k1]))
-        triangles.append(np.column_stack([outer + k, inner + k1, inner + k]))
-
-    return TriangleMesh(np.concatenate(ring_arrays), np.concatenate(triangles))
+    return TriangleMesh(vertices, np.concatenate(triangles))
 
 
 class SlabComparison(NamedTuple):

@@ -1,12 +1,16 @@
 import io
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from io_utils import corners_signed_volume, read_obj, read_stl
 from polydome.meshing import (
+    _OBJ_CHUNK,
     MeshResolution,
     NonWatertightError,
     TriangleMesh,
@@ -15,6 +19,7 @@ from polydome.meshing import (
     write_obj,
     write_stl,
 )
+from polydome.slabs import build_slab_stack, slab_stack_mesh
 from polydome.surface import SolidSpec, scaling_factor, surface_point
 
 SQUARE = SolidSpec(4, 1.0)
@@ -84,6 +89,79 @@ class TestTriangleMesh:
         vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         mesh = TriangleMesh(vertices, np.array([[0, 1, 2], [0, 1, 3]]))
         assert (0, 1) in mesh.defective_edges()
+
+
+def reference_topology(mesh):
+    """(defective edges, edge count, Euler characteristic) from a Counter of triangle sides."""
+    directed = Counter()
+    for a, b, c in mesh.triangles.tolist():
+        directed.update([(a, b), (b, c), (c, a)])
+    undirected = Counter()
+    for (a, b), uses in directed.items():
+        undirected[min(a, b), max(a, b)] += uses
+    bad = {edge for edge, uses in undirected.items() if uses != 2}
+    bad |= {(min(a, b), max(a, b)) for (a, b), uses in directed.items() if uses > 1}
+    edges = len(undirected)
+    return sorted(bad), edges, mesh.vertex_count - edges + mesh.triangle_count
+
+
+def assert_topology_matches_reference(mesh):
+    bad, edges, chi = reference_topology(mesh)
+    assert mesh.defective_edges() == bad
+    assert mesh.edge_count() == edges
+    assert mesh.euler_characteristic() == chi
+
+
+closed_meshes = st.one_of(
+    st.builds(
+        lambda n, R, segments, rings: tessellate(SolidSpec(n, R), MeshResolution(segments, rings)),
+        st.integers(3, 9), st.floats(0.01, 100.0), st.integers(1, 4), st.integers(1, 4),
+    ),
+    st.builds(
+        lambda n, R, m: slab_stack_mesh(build_slab_stack(m, SolidSpec(n, R)), SolidSpec(n, R)),
+        st.integers(3, 9), st.floats(0.01, 100.0), st.integers(1, 12),
+    ),
+)
+
+
+@st.composite
+def triangle_soups(draw):
+    vertex_count = draw(st.integers(1, 8))
+    corner = st.integers(0, vertex_count - 1)
+    triangles = draw(st.lists(st.tuples(corner, corner, corner), max_size=12))
+    return TriangleMesh(np.zeros((vertex_count, 3)), np.array(triangles, dtype=np.int64).reshape(-1, 3))
+
+
+class TestTopologyProperties:
+    @settings(deadline=None)
+    @given(closed_meshes)
+    def test_closed_meshes_are_watertight_spheres(self, mesh):
+        assert_topology_matches_reference(mesh)
+        assert mesh.defective_edges() == []
+        assert mesh.euler_characteristic() == 2
+
+    @settings(deadline=None)
+    @given(closed_meshes, st.integers(min_value=0), st.sampled_from(["drop", "duplicate", "flip"]))
+    def test_one_face_defect_is_reported(self, mesh, pick, defect):
+        index = pick % mesh.triangle_count
+        face = mesh.triangles[index]
+        if defect == "drop":
+            triangles = np.delete(mesh.triangles, index, axis=0)
+        elif defect == "duplicate":
+            triangles = np.insert(mesh.triangles, index, face, axis=0)
+        else:
+            triangles = mesh.triangles.copy()
+            triangles[index] = face[::-1]
+        broken = TriangleMesh(mesh.vertices, triangles)
+        assert_topology_matches_reference(broken)
+        a, b, c = face.tolist()
+        sides = {(min(p, q), max(p, q)) for p, q in [(a, b), (b, c), (c, a)]}
+        assert sides <= set(broken.defective_edges())
+
+    @settings(deadline=None)
+    @given(triangle_soups())
+    def test_triangle_soups_match_reference(self, mesh):
+        assert_topology_matches_reference(mesh)
 
 
 class TestTessellate:
@@ -204,7 +282,32 @@ class TestWriteStl:
         assert target.stat().st_size == 484
 
 
+def reference_obj(mesh):
+    """The per-line formatter the chunked writer must match byte for byte."""
+    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices]
+    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.triangles]
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+OBJ_EDGE_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, -2.5e-320, 1e300, -1e300]
+
+
 class TestWriteObj:
+    @pytest.mark.parametrize("vertex_count,triangle_count", [
+        (0, 0), (1, 0), (1, 1), (3, _OBJ_CHUNK - 1), (_OBJ_CHUNK - 1, _OBJ_CHUNK + 1),
+        (_OBJ_CHUNK, _OBJ_CHUNK), (_OBJ_CHUNK + 1, _OBJ_CHUNK - 1), (_OBJ_CHUNK + 1, 1),
+    ])
+    def test_matches_per_line_reference(self, vertex_count, triangle_count):
+        rng = np.random.default_rng(vertex_count + triangle_count)
+        values = rng.choice(OBJ_EDGE_VALUES, size=3 * vertex_count)
+        values[::2] = rng.normal(scale=10.0 ** rng.integers(-300, 300, size=values[::2].size))
+        values[: len(OBJ_EDGE_VALUES)] = OBJ_EDGE_VALUES[: values.size]
+        triangles = rng.integers(0, max(vertex_count, 1), size=(triangle_count, 3))
+        mesh = TriangleMesh(values.reshape(-1, 3), triangles)
+        sink = io.StringIO()
+        assert write_obj(mesh, sink) == vertex_count + triangle_count
+        assert sink.getvalue() == reference_obj(mesh)
+
     def test_line_count(self):
         mesh = tessellate(SQUARE, MeshResolution(1, 1))  # 6 vertices, 8 triangles
         sink = io.StringIO()

@@ -119,7 +119,46 @@ class TestBuildSlabStack:
             SlabStack(m=2, slab_height=0.5, apothems=(0.5, 0.9))
 
 
+def reference_staircase(stack, spec):
+    """Ring-by-ring loop construction the vectorized mesh must match exactly."""
+    n = spec.n
+    cos_half = math.cos(math.pi / n)
+    angles = -math.pi / n + np.arange(n) * (2.0 * math.pi / n)
+    ux = np.cos(angles) / cos_half
+    uy = np.sin(angles) / cos_half
+    h = stack.slab_height
+    rings, walls, steps = [], [], []
+    for i, apothem in enumerate(stack.apothems):
+        bottom = len(rings) * n
+        rings.append(np.column_stack([apothem * ux, apothem * uy, np.full(n, i * h)]))
+        if i:
+            steps.append((bottom - n, bottom))
+        top = len(rings) * n
+        rings.append(np.column_stack([apothem * ux, apothem * uy, np.full(n, (i + 1) * h)]))
+        walls.append((bottom, top))
+    k = np.arange(n)
+    k1 = (k + 1) % n
+    fan = np.arange(1, n - 1)
+    triangles = [
+        np.column_stack([np.zeros(n - 2, dtype=int), fan + 1, fan]),
+        np.column_stack([np.full(n - 2, top), top + fan, top + fan + 1]),
+    ]
+    for lower, upper in walls + steps:
+        triangles.append(np.column_stack([lower + k, lower + k1, upper + k1]))
+        triangles.append(np.column_stack([lower + k, upper + k1, upper + k]))
+    return np.concatenate(rings), np.concatenate(triangles)
+
+
 class TestSlabStackMesh:
+    @pytest.mark.parametrize("n,m,R", [(3, 1, 1.0), (4, 2, 0.5), (7, 33, 2.0), (12, 100, 1e-3), (16, 250, 75.0)])
+    def test_matches_loop_reference(self, n, m, R):
+        spec = SolidSpec(n, R)
+        stack = build_slab_stack(m, spec)
+        mesh = slab_stack_mesh(stack, spec)
+        vertices, triangles = reference_staircase(stack, spec)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert np.array_equal(mesh.triangles, triangles)
+
     def test_single_slab_is_a_box(self):
         mesh = slab_stack_mesh(build_slab_stack(1, SQUARE), SQUARE)
         assert mesh.triangle_count == 12
