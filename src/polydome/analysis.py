@@ -13,6 +13,7 @@ semi-axis R/a(azimuth of the branch) and vertical semi-axis R, which
 ``ellipse_residual`` quantifies.
 """
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -132,15 +133,8 @@ class VolumeReport:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
 
     def to_dict(self) -> dict:
-        """Plain dict with a fixed key order (stable for byte-level diffing)."""
-        return {
-            "analytic": self.analytic,
-            "mesh_estimate": self.mesh_estimate,
-            "mc_estimate": self.mc_estimate,
-            "mc_std_error": self.mc_std_error,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        """Plain dict in field order (stable for byte-level diffing)."""
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -231,11 +225,6 @@ def ellipse_residual(section: PlaneSection) -> float:
     return worst
 
 
-def _edge_crossing(vertices: np.ndarray, distances: np.ndarray, ia: int, ib: int) -> np.ndarray:
-    w = distances[ia] / (distances[ia] - distances[ib])
-    return vertices[ia] + w * (vertices[ib] - vertices[ia])
-
-
 def mesh_plane_section(mesh: TriangleMesh, azimuth: float, spec: SolidSpec) -> PlaneSection:
     """Cut a mesh with the vertical plane through the axis at ``azimuth``.
 
@@ -251,55 +240,46 @@ def mesh_plane_section(mesh: TriangleMesh, azimuth: float, spec: SolidSpec) -> P
     normal = np.array([-math.sin(phi), math.cos(phi), 0.0])
     along = np.array([math.cos(phi), math.sin(phi), 0.0])
     tol = 1e-9 * max(1.0, spec.R)
+    vertices, triangles = mesh.vertices, mesh.triangles
 
-    distances = mesh.vertices @ normal
+    distances = vertices @ normal
     signs = np.zeros(len(distances), dtype=np.int8)
     signs[distances > tol] = 1
     signs[distances < -tol] = -1
-    tri_signs = signs[mesh.triangles]
-    positive = (tri_signs > 0).sum(axis=1)
-    negative = (tri_signs < 0).sum(axis=1)
-    on_plane = (tri_signs == 0).sum(axis=1)
-
-    segments: list[tuple[np.ndarray, np.ndarray]] = []
-    crossing = np.nonzero((positive > 0) & (negative > 0))[0]
-    for row in crossing:
-        corner_signs = tri_signs[row]
-        corners = mesh.triangles[row]
-        if on_plane[row] == 0:
-            lone_side = 1 if positive[row] == 1 else -1
-            lone = int(np.nonzero(corner_signs == lone_side)[0][0])
-            segments.append((
-                _edge_crossing(mesh.vertices, distances, corners[lone], corners[(lone + 1) % 3]),
-                _edge_crossing(mesh.vertices, distances, corners[lone], corners[(lone + 2) % 3]),
-            ))
-        else:  # exactly one vertex on the plane, the other two on opposite sides
-            anchor = int(np.nonzero(corner_signs == 0)[0][0])
-            segments.append((
-                mesh.vertices[corners[anchor]],
-                _edge_crossing(mesh.vertices, distances, corners[(anchor + 1) % 3], corners[(anchor + 2) % 3]),
-            ))
+    s0, s1, s2 = (signs[triangles[:, k]] for k in range(3))
+    total = s0 + s1 + s2
+    low = np.minimum(np.minimum(s0, s1), s2)
+    crossing = (np.maximum(np.maximum(s0, s1), s2) > 0) & (low < 0)
     # Edges lying in the plane: counted once, from the triangle on the positive side.
-    for row in np.nonzero((on_plane == 2) & (positive == 1))[0]:
-        a, b = mesh.triangles[row][tri_signs[row] == 0]
-        segments.append((mesh.vertices[a], mesh.vertices[b]))
+    in_plane = triangles[(low == 0) & (total == 1)]
 
-    branch_points: dict[int, list[tuple[float, float]]] = {1: [], -1: []}
-    for p, q in segments:
-        if p[2] <= tol and q[2] <= tol:
-            continue  # cut through the flat base
-        for point in (p, q):
-            s = float(point @ along)
-            entry = (float(math.hypot(point[0], point[1])), float(point[2]))
-            if s >= -tol:
-                branch_points[1].append(entry)
-            if s <= tol:
-                branch_points[-1].append(entry)
+    def cut(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        w = distances[ia] / (distances[ia] - distances[ib])
+        return vertices[ia] + w[:, None] * (vertices[ib] - vertices[ia])
+
+    # Rotate each crossing triangle so corner 0 is the one alone on its side
+    # of the plane, whose sign is minus the sign sum, or else (sum 0) the one on it.
+    rows, lone = triangles[crossing], -total[crossing]
+    first = np.argmax(signs[rows] == lone[:, None], axis=1)[:, None]
+    i0, i1, i2 = np.take_along_axis(rows, (first + np.arange(3)) % 3, axis=1).T
+    through = lone != 0  # no corner on the plane
+    p = np.where(through[:, None], cut(i0, i1), vertices[i0])
+    q = cut(np.where(through, i0, i1), i2)
+    a, b = in_plane[signs[in_plane] == 0].reshape(-1, 2).T
+    p = np.concatenate([p, vertices[a]])
+    q = np.concatenate([q, vertices[b]])
+
+    kept = ~((p[:, 2] <= tol) & (q[:, 2] <= tol))  # drop cuts through the flat base
+    points = np.stack([p[kept], q[kept]], axis=1).reshape(-1, 3)
+    entries = [(math.hypot(x, y), z) for x, y, z in points.tolist()]
+    offsets = (points @ along).tolist()
+    branch_pos = [entry for entry, s in zip(entries, offsets) if s >= -tol]
+    branch_neg = [entry for entry, s in zip(entries, offsets) if s <= tol]
 
     return PlaneSection(
         phi,
-        _weld_sorted(branch_points[1], tol),
-        _weld_sorted(branch_points[-1], tol),
+        _weld_sorted(branch_pos, tol),
+        _weld_sorted(branch_neg, tol),
         spec.R / scaling_factor(phi, spec),
         spec.R / scaling_factor(phi + math.pi, spec),
         spec.R,

@@ -7,6 +7,7 @@ the library itself works in radians.  The only environment override is
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,11 +40,8 @@ def _resolve_output(path) -> Path | None:
     return path
 
 
-def _write_mesh(mesh, path: Path) -> None:
-    if path.suffix.lower() == ".obj":
-        write_obj(mesh, path)
-    else:
-        write_stl(mesh, path)
+def _write_mesh(mesh, path: Path, fmt: str) -> None:
+    (write_obj if fmt == "obj" else write_stl)(mesh, path)
 
 
 def cmd_mesh(args) -> int:
@@ -51,10 +49,7 @@ def cmd_mesh(args) -> int:
     mesh = tessellate(spec, MeshResolution(args.segments, args.rings))
     volume = mesh_volume(mesh)  # also enforces watertightness
     out = _resolve_output(args.output)
-    if args.format == "obj":
-        write_obj(mesh, out)
-    else:
-        write_stl(mesh, out)
+    _write_mesh(mesh, out, args.format)
     print(
         f"mesh: n={spec.n} R={spec.R:g} vertices={mesh.vertex_count} "
         f"triangles={mesh.triangle_count} dropped={mesh.dropped_triangles} "
@@ -89,7 +84,7 @@ def cmd_slabs(args) -> int:
         mesh_path = _resolve_output(args.mesh_out)
         mesh = slab_stack_mesh(stack, spec)
         mesh.require_watertight()
-        _write_mesh(mesh, mesh_path)
+        _write_mesh(mesh, mesh_path, "obj" if mesh_path.suffix.lower() == ".obj" else "stl")
         mesh_note = f" mesh -> {mesh_path}"
     print(
         f"slabs: n={spec.n} R={spec.R:g} m={stack.m} max_apothem_gap={max_gap!r} "
@@ -123,6 +118,8 @@ def cmd_xsec(args) -> int:
 
 def cmd_params(args) -> int:
     spec = SolidSpec(args.n, args.R)
+    if args.a_samples < 0:
+        raise ValueError(f"a-samples must be at least 0, got {args.a_samples}")
     domain = AngularDomain.of(spec)
     a_min = math.cos(math.pi / spec.n)
     print(f"{'sector':>6} {'lo_deg':>10} {'hi_deg':>10} {'mid_deg':>10} {'a_min':>12}")
@@ -207,8 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building costs ten times parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_bytes, write_text
-from .surface import SolidSpec, scaling_factor_array
+from .surface import SolidSpec, _integer, scaling_factor_array
 
 __all__ = [
     "MeshResolution",
@@ -47,10 +47,8 @@ class MeshResolution:
     rings: int = 32
 
     def __post_init__(self):
-        if self.segments_per_sector < 1:
-            raise ValueError(f"segments_per_sector must be >= 1, got {self.segments_per_sector}")
-        if self.rings < 1:
-            raise ValueError(f"rings must be >= 1, got {self.rings}")
+        for name in ("segments_per_sector", "rings"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,9 @@ class TriangleMesh:
 
     def face_normals(self) -> np.ndarray:
         """Unit normals from the winding; zero-area triangles get (0, 0, 0)."""
-        corners = self.vertices[self.triangles]
-        normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-        lengths = np.linalg.norm(normals, axis=1)
-        return normals / np.where(lengths > 0.0, lengths, 1.0)[:, None]
+        columns, lengths = _cross_columns(self.vertices, self.triangles)
+        lengths = np.where(lengths > 0.0, lengths, 1.0)
+        return np.column_stack([column / lengths for column in columns])
 
     def _edge_runs(self, directed: bool) -> tuple[np.ndarray, np.ndarray]:
         """Ascending distinct edge keys and how many triangle sides use each.
@@ -141,12 +138,23 @@ class TriangleMesh:
             raise NonWatertightError(f"mesh is not watertight: defective edges {preview}{more}", bad)
 
 
+def _cross_columns(vertices: np.ndarray, triangles: np.ndarray):
+    """(v1 - v0) x (v2 - v0) of every triangle as three 1-D columns, and its length.
+
+    Bit-identical to ``np.cross`` and ``np.linalg.norm(axis=1)``: the same
+    products and differences, and the same (x^2 + y^2) + z^2 sum.
+    """
+    X, Y, Z = np.ascontiguousarray(vertices.T)
+    i0, i1, i2 = triangles.T
+    x0, y0, z0 = X[i0], Y[i0], Z[i0]
+    ux, uy, uz = X[i1] - x0, Y[i1] - y0, Z[i1] - z0
+    vx, vy, vz = X[i2] - x0, Y[i2] - y0, Z[i2] - z0
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return (cx, cy, cz), np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
 def _drop_degenerate(vertices: np.ndarray, triangles: np.ndarray, area_floor: float):
-    corners = vertices[triangles]
-    doubled_area = np.linalg.norm(
-        np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1
-    )
-    keep = doubled_area > 2.0 * area_floor
+    keep = _cross_columns(vertices, triangles)[1] > 2.0 * area_floor
     dropped = int((~keep).sum())
     return (triangles[keep], dropped) if dropped else (triangles, 0)
 
@@ -179,18 +187,17 @@ def tessellate(spec: SolidSpec, res: MeshResolution) -> TriangleMesh:
 
     k = np.arange(cols)
     k1 = (k + 1) % cols
-    bands = []
-    for j in range(rings - 1):
-        a = j * cols + k
-        b = j * cols + k1
-        c = (j + 1) * cols + k1
-        d = (j + 1) * cols + k
-        bands.append(np.column_stack([a, b, c]))
-        bands.append(np.column_stack([a, c, d]))
+    # Ring j's quads split into the band [a, b, c] followed by the band [a, c, d].
+    row = (np.arange(rings - 1) * cols)[:, None]
+    a, b = row + k, row + k1
+    c, d = b + cols, a + cols
+    bands = np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)], axis=1)
     top = (rings - 1) * cols
-    bands.append(np.column_stack([top + k, top + k1, np.full(cols, apex)]))
-    bands.append(np.column_stack([np.full(cols, center), k1, k]))
-    triangles = np.concatenate(bands)
+    triangles = np.concatenate([
+        bands.reshape(-1, 3),
+        np.column_stack([top + k, top + k1, np.full(cols, apex)]),
+        np.column_stack([np.full(cols, center), k1, k]),
+    ])
 
     triangles, dropped = _drop_degenerate(vertices, triangles, area_floor=1e-14 * R * R)
     return TriangleMesh(vertices, triangles, dropped_triangles=dropped)
@@ -210,7 +217,7 @@ def write_stl(mesh: TriangleMesh, destination) -> int:
     records = np.zeros(count, dtype=_STL_RECORD)
     if count:
         records["normal"] = mesh.face_normals().astype("<f4")
-        records["vertices"] = mesh.vertices[mesh.triangles].astype("<f4")
+        records["vertices"] = mesh.vertices.astype("<f4")[mesh.triangles]
     payload = _STL_HEADER_TAG.ljust(80, b"\x00") + struct.pack("<I", count) + records.tobytes()
     write_bytes(destination, payload)
     return len(payload)

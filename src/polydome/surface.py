@@ -13,6 +13,7 @@ All angles are radians; all functions here are pure and thread-safe.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,22 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = math.pi / 2.0
 
+# Valid apothems: R**3 stays finite and float32 STL coordinates stay normal.
+_R_RANGE = (1e-30, 1e30)
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int if it is an integral number (not a bool) >= ``minimum``."""
+    try:
+        integral = not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class SolidSpec:
@@ -44,14 +61,11 @@ class SolidSpec:
     R: float
 
     def __post_init__(self):
-        n, R = self.n, self.R
-        if isinstance(n, bool) or int(n) != n:
-            raise ValueError(f"n must be an integer, got {n!r}")
-        if n < 3:
-            raise ValueError(f"n must be at least 3, got {n}")
-        if not isinstance(R, (int, float)) or not math.isfinite(R) or R <= 0:
-            raise ValueError(f"R must be positive and finite, got {R!r}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", _integer(self.n, "n", 3))
+        R = self.R
+        lo, hi = _R_RANGE
+        if isinstance(R, bool) or not isinstance(R, numbers.Real) or not lo <= R <= hi:
+            raise ValueError(f"R must be a real number in [{lo:g}, {hi:g}], got {R!r}")
         object.__setattr__(self, "R", float(R))
 
     @property

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydome.analysis import (
     PlaneSection,
@@ -22,9 +24,9 @@ from polydome.analysis import (
     write_section_csv,
 )
 from polydome.meshing import MeshResolution, NonWatertightError, TriangleMesh, tessellate
-from polydome.surface import SolidSpec
+from polydome.surface import SolidSpec, scaling_factor
 
-from test_meshing import unit_cube_mesh
+from test_meshing import closed_meshes, unit_cube_mesh
 
 SQUARE = SolidSpec(4, 1.0)
 TRIANGLE = SolidSpec(3, 1.0)
@@ -287,3 +289,110 @@ class TestMeshPlaneSection:
         section = mesh_plane_section(shifted, math.pi / 2, SQUARE)
         assert section.branch_pos == ()
         assert section.branch_neg == ()
+
+
+def reference_mesh_plane_section(mesh, azimuth, spec):
+    """The per-triangle loop that ``mesh_plane_section`` replaced."""
+    phi = float(azimuth)
+    normal = np.array([-math.sin(phi), math.cos(phi), 0.0])
+    along = np.array([math.cos(phi), math.sin(phi), 0.0])
+    tol = 1e-9 * max(1.0, spec.R)
+    vertices, triangles = mesh.vertices, mesh.triangles
+
+    distances = vertices @ normal
+    signs = np.zeros(len(distances), dtype=np.int8)
+    signs[distances > tol] = 1
+    signs[distances < -tol] = -1
+
+    def crossing(ia, ib):
+        w = distances[ia] / (distances[ia] - distances[ib])
+        return vertices[ia] + w * (vertices[ib] - vertices[ia])
+
+    segments = []
+    for corners in triangles:
+        corner_signs = signs[corners]
+        positive = int((corner_signs > 0).sum())
+        negative = int((corner_signs < 0).sum())
+        if positive and negative:
+            if positive + negative == 3:
+                lone = int(np.nonzero(corner_signs == (1 if positive == 1 else -1))[0][0])
+                segments.append((
+                    crossing(corners[lone], corners[(lone + 1) % 3]),
+                    crossing(corners[lone], corners[(lone + 2) % 3]),
+                ))
+            else:
+                anchor = int(np.nonzero(corner_signs == 0)[0][0])
+                segments.append((
+                    vertices[corners[anchor]],
+                    crossing(corners[(anchor + 1) % 3], corners[(anchor + 2) % 3]),
+                ))
+    for corners in triangles:
+        corner_signs = signs[corners]
+        if (corner_signs == 0).sum() == 2 and (corner_signs > 0).sum() == 1:
+            a, b = corners[corner_signs == 0]
+            segments.append((vertices[a], vertices[b]))
+
+    branches = {1: [], -1: []}
+    for p, q in segments:
+        if p[2] <= tol and q[2] <= tol:
+            continue
+        for point in (p, q):
+            s = float(point @ along)
+            entry = (float(math.hypot(point[0], point[1])), float(point[2]))
+            if s >= -tol:
+                branches[1].append(entry)
+            if s <= tol:
+                branches[-1].append(entry)
+
+    def weld(points):
+        welded = []
+        for rho, z in sorted(points, key=lambda p: (p[1], p[0])):
+            if not (welded and abs(z - welded[-1][1]) <= tol and abs(rho - welded[-1][0]) <= tol):
+                welded.append((rho, z))
+        return tuple(welded)
+
+    return PlaneSection(
+        phi, weld(branches[1]), weld(branches[-1]),
+        spec.R / scaling_factor(phi, spec), spec.R / scaling_factor(phi + math.pi, spec), spec.R,
+    )
+
+
+# Multiples of pi/m for m up to 36 hit the polygon corners, the sector
+# midlines and the azimuth-grid lines of every mesh ``closed_meshes`` builds,
+# so vertices lie on the plane.
+azimuths = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.builds(lambda k, m: k * math.pi / m, st.integers(-72, 72), st.integers(3, 36)),
+)
+
+
+class TestMeshPlaneSectionReference:
+    @settings(deadline=None)
+    @given(closed_meshes, azimuths, st.floats(0.01, 100.0))
+    def test_matches_the_loop(self, mesh, azimuth, R):
+        spec = SolidSpec(4, R)  # sets the tolerance and the semi-axes only
+        assert mesh_plane_section(mesh, azimuth, spec) == reference_mesh_plane_section(mesh, azimuth, spec)
+
+    def test_soup_with_in_plane_edges(self):
+        # The plane y = 0 holds the edges 0-1 and 4-5 (the latter as corners 0
+        # and 2 of its positive-side triangle) and the corner 7 of a crossing triangle.
+        vertices = np.array([
+            [1.0, 0.0, 0.5], [0.2, 0.0, 1.0], [0.5, 0.7, 0.5], [0.5, -0.7, 0.5],
+            [-1.0, 0.0, 0.3], [-0.4, 0.0, 0.9], [-0.5, 0.6, 0.2],
+            [2.0, 0.0, 0.4], [2.5, 1.0, 0.6], [2.5, -1.0, 0.8],
+            [3.0, 0.5, 0.0], [3.0, -0.5, 0.0], [3.5, 0.5, 0.0],
+            [1.5, 0.5, 0.3], [1.5, -0.5, 0.7], [1.7, -0.2, 0.9],
+        ])
+        triangles = np.array([
+            [0, 1, 2], [1, 0, 3],  # in-plane edge, positive and negative side
+            [4, 6, 5],  # in-plane edge on the negative branch, zero corners 0 and 2
+            [7, 8, 9],  # one corner on the plane
+            [10, 11, 12],  # crosses the plane inside the base plane z = 0
+            [13, 14, 15],  # one corner alone on the positive side
+        ])
+        mesh = TriangleMesh(vertices, triangles)
+        section = mesh_plane_section(mesh, 0.0, SQUARE)
+        assert section == reference_mesh_plane_section(mesh, 0.0, SQUARE)
+        assert section.branch_pos[:2] == ((2.0, 0.4), (1.0, 0.5))
+        assert section.branch_neg == ((1.0, 0.3), (0.4, 0.9))
+        assert len(section.branch_pos) == 6

@@ -226,3 +226,28 @@ class TestOutputDirOverride:
         code, _, _ = run(capsys, "volume", "--n", "4", "--R", "1", "-o", str(target))
         assert code == 0
         assert target.exists()
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize("argv,bound", [
+        (["volume", "--n", "4", "--R", "1e200"], "R must be a real number in [1e-30, 1e+30]"),
+        (["volume", "--n", "4", "--R", "nan"], "R must be a real number in [1e-30, 1e+30]"),
+        (["xsec", "--n", "4", "--R", "1e-200", "--azimuth-deg", "30", "--mesh-res", "4"],
+         "R must be a real number in [1e-30, 1e+30]"),
+        (["mesh", "--n", "4", "--R", "1e-200", "-o", "x.stl"], "R must be a real number in [1e-30, 1e+30]"),
+        (["params", "--n", "4", "--a-samples", "-3"], "a-samples must be at least 0"),
+    ])
+    def test_exits_2_naming_the_bound(self, argv, bound, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert bound in err
+        assert "Traceback" not in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("R", ["1e-30", "1e30"])
+    def test_range_ends_are_valid(self, R, capsys):
+        code, out, _ = run(capsys, "volume", "--n", "4", "--R", R, "--mesh-res", "8")
+        report = json.loads(out)
+        assert code == 0
+        assert 0.98 < report["mesh_estimate"] / report["analytic"] < 1.0

@@ -56,6 +56,19 @@ class TestMeshResolution:
         with pytest.raises(ValueError):
             MeshResolution(segments, rings)
 
+    @pytest.mark.parametrize("segments,rings,field", [
+        (2.5, 3, "segments_per_sector"), ("a", 3, "segments_per_sector"), (True, 3, "segments_per_sector"),
+        (3, math.nan, "rings"), (3, math.inf, "rings"), (3, None, "rings"),
+    ])
+    def test_rejects_non_integers(self, segments, rings, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MeshResolution(segments, rings)
+
+    def test_accepts_integral_numbers(self):
+        res = MeshResolution(np.int64(3), 4.0)
+        assert (res.segments_per_sector, res.rings) == (3, 4)
+        assert type(res.segments_per_sector) is int and type(res.rings) is int
+
 
 class TestTriangleMesh:
     def test_rejects_out_of_range_indices(self):
@@ -226,12 +239,72 @@ class TestTessellate:
             assert 3.0 < coarse / fine < 5.0
         assert errors[-1] / (8.0 / 3.0) < 0.005
 
+    @pytest.mark.parametrize("n,res", [(3, 1), (4, 2), (4, 32), (9, 64), (3, 96), (16, 96)])
+    def test_triangle_order_matches_per_ring_loop(self, n, res):
+        cols, rings = n * res, res
+        k = np.arange(cols)
+        k1 = (k + 1) % cols
+        bands = []
+        for j in range(rings - 1):
+            a, b, c, d = j * cols + k, j * cols + k1, (j + 1) * cols + k1, (j + 1) * cols + k
+            bands += [np.column_stack([a, b, c]), np.column_stack([a, c, d])]
+        top = (rings - 1) * cols
+        bands.append(np.column_stack([top + k, top + k1, np.full(cols, rings * cols)]))
+        bands.append(np.column_stack([np.full(cols, rings * cols + 1), k1, k]))
+        mesh = tessellate(SolidSpec(n, 1.0), MeshResolution(res, res))
+        assert mesh.dropped_triangles == 0
+        assert mesh.triangles.tolist() == np.concatenate(bands).tolist()
+
     def test_drop_degenerate_counts(self):
         vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]], dtype=float)
         triangles = np.array([[0, 1, 2], [0, 1, 3]])  # second is collinear
         kept, dropped = _drop_degenerate(vertices, triangles, area_floor=1e-14)
         assert dropped == 1
         assert kept.tolist() == [[0, 1, 2]]
+
+
+# Coordinates where evaluation order shows: non-finite values, signed zeros,
+# subnormals and magnitudes whose products overflow or underflow.
+EDGE_COORDINATES = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1e-300, 1e300, -1e300])
+
+
+def edge_soup(seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.choice([-80, -70, -40, 0, 40, 70, 76])  # some squares underflow or overflow
+    vertices = rng.normal(size=(24, 3)) * 10.0 ** rng.integers(-8, 8, size=(24, 3)) * scale
+    special = rng.random((24, 3)) < 0.1
+    vertices[special] = rng.choice(EDGE_COORDINATES, size=int(special.sum()))
+    return vertices, rng.integers(0, 24, size=(64, 3))
+
+
+def reference_cross(vertices, triangles):
+    corners = vertices[triangles]
+    return np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+
+
+class TestCrossProductColumns:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_face_normals_match_np_cross_bitwise(self, seed):
+        vertices, triangles = edge_soup(seed)
+        with np.errstate(all="ignore"):
+            normals = reference_cross(vertices, triangles)
+            lengths = np.linalg.norm(normals, axis=1)
+            expected = normals / np.where(lengths > 0.0, lengths, 1.0)[:, None]
+            actual = TriangleMesh(vertices, triangles).face_normals()
+        assert actual.shape == expected.shape
+        assert actual.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_drop_degenerate_matches_np_linalg_norm(self, seed):
+        vertices, triangles = edge_soup(seed)
+        with np.errstate(all="ignore"):
+            doubled_areas = np.linalg.norm(reference_cross(vertices, triangles), axis=1)
+            # Each finite area as the threshold, so a one-ulp difference flips a row.
+            for area in [0.0, *doubled_areas[np.isfinite(doubled_areas)]]:
+                keep = doubled_areas > 2.0 * (area / 2.0)
+                kept, dropped = _drop_degenerate(vertices, triangles, area_floor=area / 2.0)
+                assert dropped == int((~keep).sum())
+                assert kept.tolist() == triangles[keep].tolist()
 
 
 class TestWriteStl:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,21 @@ class TestSolidSpec:
     def test_rejects_bad_apothem(self, R):
         with pytest.raises(ValueError):
             SolidSpec(4, R)
+
+    @pytest.mark.parametrize("R", [1e-31, 1e31, 1e200, 1e-200, 10**400, True, "1", 1j])
+    def test_rejects_apothem_outside_the_range(self, R):
+        with pytest.raises(ValueError, match=r"R must be a real number in \[1e-30, 1e\+30\]"):
+            SolidSpec(4, R)
+
+    @pytest.mark.parametrize("R", [1e-30, 1e30, 2, np.int64(2), np.float32(0.5), Fraction(1, 2)])
+    def test_accepts_any_real_apothem_in_the_range(self, R):
+        spec = SolidSpec(4, R)
+        assert type(spec.R) is float and spec.R == float(R)
+
+    @pytest.mark.parametrize("n", [True, "4", math.inf, math.nan])
+    def test_rejects_non_integer_side_count(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SolidSpec(n, 1.0)
 
 
 class TestAngularDomain:
