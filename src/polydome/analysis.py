@@ -239,7 +239,7 @@ def mesh_plane_section(mesh: TriangleMesh, azimuth: float, spec: SolidSpec) -> P
         raise ValueError(f"azimuth must be finite, got {azimuth!r}")
     normal = np.array([-math.sin(phi), math.cos(phi), 0.0])
     along = np.array([math.cos(phi), math.sin(phi), 0.0])
-    tol = 1e-9 * max(1.0, spec.R)
+    tol = 1e-9 * spec.R
     vertices, triangles = mesh.vertices, mesh.triangles
 
     distances = vertices @ normal

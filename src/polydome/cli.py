@@ -4,10 +4,15 @@ cross-sections, and the sector parameter table.
 Angles are degrees on the command line and converted once at this boundary;
 the library itself works in radians.  The only environment override is
 ``POLYDOME_OUT_DIR``, which prefixes relative output paths.
+
+``params`` needs only ``math``; the numpy-backed layers are bound into this
+module's globals the first time another command runs (or one of their names
+is read from this module), and the commands look them up there at call time.
 """
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import os
@@ -15,19 +20,39 @@ import sys
 from pathlib import Path
 
 from ._io import write_text
-from .analysis import (
-    ellipse_residual,
-    mesh_plane_section,
-    mesh_volume,
-    plane_section,
-    volume_report,
-    write_section_csv,
-)
-from .meshing import MeshResolution, tessellate, write_obj, write_stl
-from .slabs import build_slab_stack, convergence_profile, slab_stack_mesh, write_slab_csv
 from .surface import AngularDomain, SolidSpec, scaling_factor
 
 OUTPUT_DIR_ENV = "POLYDOME_OUT_DIR"
+
+# Names the commands use from the numpy-backed layers, by defining module.
+_ARRAY_LAYERS = {
+    "analysis": (
+        "ellipse_residual", "mesh_plane_section", "mesh_volume", "plane_section",
+        "volume_report", "write_section_csv",
+    ),
+    "meshing": ("MeshResolution", "tessellate", "write_obj", "write_stl"),
+    "slabs": ("build_slab_stack", "convergence_profile", "slab_stack_mesh", "write_slab_csv"),
+}
+
+
+@functools.cache
+def _load_array_layers() -> None:
+    """Import the array layers and bind their names here, once per process.
+
+    Binding once matters: a name rebound on this module later (say, by a
+    tracing wrapper) stays rebound for every following command.
+    """
+    namespace = globals()
+    for module, names in _ARRAY_LAYERS.items():
+        home = importlib.import_module(f".{module}", __package__)
+        namespace.update((name, getattr(home, name)) for name in names)
+
+
+def __getattr__(name):
+    if any(name in names for names in _ARRAY_LAYERS.values()):
+        _load_array_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_output(path) -> Path | None:
@@ -212,6 +237,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.func is not cmd_params:
+        _load_array_layers()
     try:
         return args.func(args)
     except ValueError as exc:

@@ -9,14 +9,14 @@ horizontal coordinate is stretched by ``1 / a(r)``, where the scaling
 factor ``a`` is the cosine of the angular offset between the azimuth ``r``
 and the midline of the polygon sector containing it.
 
-All angles are radians; all functions here are pure and thread-safe.
+All angles are radians; all functions here are pure and thread-safe.  Only
+the two array kernels use numpy, and they import it on first call, so the
+scalar layer (and ``polydome params``) starts without it.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "SolidSpec",
@@ -39,9 +39,12 @@ _HALF_PI = math.pi / 2.0
 # Valid apothems: R**3 stays finite and float32 STL coordinates stay normal.
 _R_RANGE = (1e-30, 1e30)
 
+# Largest side count: far past any useful polygon, and it keeps per-sector work bounded.
+_N_MAX = 10**6
 
-def _integer(value, name: str, minimum: int) -> int:
-    """``value`` as an int if it is an integral number (not a bool) >= ``minimum``."""
+
+def _integer(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as an int if it is an integral number (not a bool) in [minimum, maximum]."""
     try:
         integral = not isinstance(value, bool) and int(value) == value
     except (TypeError, ValueError, OverflowError):
@@ -50,6 +53,8 @@ def _integer(value, name: str, minimum: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value}")
     return int(value)
 
 
@@ -61,7 +66,7 @@ class SolidSpec:
     R: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n", 3))
+        object.__setattr__(self, "n", _integer(self.n, "n", 3, _N_MAX))
         R = self.R
         lo, hi = _R_RANGE
         if isinstance(R, bool) or not isinstance(R, numbers.Real) or not lo <= R <= hi:
@@ -80,8 +85,8 @@ class SolidSpec:
 
     @property
     def tolerance(self) -> float:
-        """Absolute comparison tolerance, scaled with the solid size."""
-        return 1e-12 * max(1.0, self.R)
+        """Comparison tolerance for lengths: relative to R, so it scales with the solid."""
+        return 1e-12 * self.R
 
 
 @dataclass(frozen=True)
@@ -151,8 +156,10 @@ def scaling_factor(r: float, spec: SolidSpec) -> float:
     return math.cos(u - k * spec.sector_width - half)
 
 
-def scaling_factor_array(r: np.ndarray, spec: SolidSpec) -> np.ndarray:
+def scaling_factor_array(r, spec: SolidSpec):
     """Vectorized :func:`scaling_factor` over an array of azimuths."""
+    import numpy as np
+
     half = math.pi / spec.n
     u = np.mod(np.asarray(r, dtype=float) + half, _TWO_PI)
     k = np.floor_divide(u, spec.sector_width)
@@ -207,8 +214,10 @@ def inside_solid(p, spec: SolidSpec) -> bool:
     return math.hypot(x, y) * a <= cross_section + tol
 
 
-def inside_mask(points: np.ndarray, spec: SolidSpec) -> np.ndarray:
+def inside_mask(points, spec: SolidSpec):
     """Vectorized :func:`inside_solid` over an (N, 3) array of points."""
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     tol = spec.tolerance

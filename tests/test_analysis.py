@@ -296,7 +296,7 @@ def reference_mesh_plane_section(mesh, azimuth, spec):
     phi = float(azimuth)
     normal = np.array([-math.sin(phi), math.cos(phi), 0.0])
     along = np.array([math.cos(phi), math.sin(phi), 0.0])
-    tol = 1e-9 * max(1.0, spec.R)
+    tol = 1e-9 * spec.R
     vertices, triangles = mesh.vertices, mesh.triangles
 
     distances = vertices @ normal

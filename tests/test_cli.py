@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from io_utils import read_obj, read_stl
+from polydome import cli
 from polydome.cli import main
 
 
@@ -236,6 +237,8 @@ class TestInputBounds:
          "R must be a real number in [1e-30, 1e+30]"),
         (["mesh", "--n", "4", "--R", "1e-200", "-o", "x.stl"], "R must be a real number in [1e-30, 1e+30]"),
         (["params", "--n", "4", "--a-samples", "-3"], "a-samples must be at least 0"),
+        (["params", "--n", "1" + "0" * 400], "n must be at most 1000000"),
+        (["volume", "--n", "1000001", "--R", "1"], "n must be at most 1000000"),
     ])
     def test_exits_2_naming_the_bound(self, argv, bound, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -251,3 +254,61 @@ class TestInputBounds:
         report = json.loads(out)
         assert code == 0
         assert 0.98 < report["mesh_estimate"] / report["analytic"] < 1.0
+
+
+class TestSmallApothem:
+    """Tolerances scale with R, so tiny solids behave like the unit solid."""
+
+    def test_monte_carlo_is_unbiased(self, capsys):
+        code, out, _ = run(capsys, "volume", "--n", "4", "--R", "1e-14", "--mc-samples", "200000", "--seed", "3")
+        report = json.loads(out)
+        assert code == 0 and report["mc_std_error"] > 0.0
+        assert abs(report["mc_estimate"] - report["analytic"]) < 5.0 * report["mc_std_error"]
+
+    def test_mesh_section_has_branches(self, capsys):
+        argv = ("xsec", "--n", "4", "--azimuth-deg", "10", "--mesh-res", "4")
+        _, tiny, _ = run(capsys, *argv, "--R", "1e-30")
+        _, unit, _ = run(capsys, *argv, "--R", "1")
+        tiny, unit = json.loads(tiny), json.loads(unit)
+        for branch in ("branch_pos", "branch_neg"):
+            assert len(tiny[branch]) == len(unit[branch]) > 2
+        assert tiny["residual"] == pytest.approx(unit["residual"], rel=1e-9)
+
+
+# The numpy-backed names the commands call.  A tracer that wraps layer
+# functions from outside rebinds exactly these attributes of ``polydome.cli``,
+# so every command must look them up there when it runs.
+ARRAY_LAYER_NAMES = (
+    "MeshResolution", "tessellate", "write_obj", "write_stl",
+    "ellipse_residual", "mesh_plane_section", "mesh_volume", "plane_section",
+    "volume_report", "write_section_csv",
+    "build_slab_stack", "convergence_profile", "slab_stack_mesh", "write_slab_csv",
+)
+
+
+def test_commands_call_the_layers_through_module_attributes(tmp_path, capsys, monkeypatch):
+    calls = dict.fromkeys(ARRAY_LAYER_NAMES, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ARRAY_LAYER_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    monkeypatch.setenv("POLYDOME_OUT_DIR", str(tmp_path))
+    for argv in (
+        ["mesh", "--n", "4", "--R", "1", "--segments", "2", "--rings", "2", "-o", "dome.stl"],
+        ["volume", "--n", "4", "--R", "1", "--mc-samples", "1000"],
+        ["slabs", "--n", "4", "--R", "1", "--m", "3", "--mesh-out", "stairs.obj"],
+        ["xsec", "--n", "4", "--R", "1", "--azimuth-deg", "30", "--mesh-res", "4", "--format", "csv"],
+        ["xsec", "--n", "4", "--R", "1", "--azimuth-deg", "30"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert [name for name, count in calls.items() if not count] == []
+
+
+def test_unknown_module_attribute():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name

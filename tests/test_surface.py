@@ -54,6 +54,18 @@ class TestSolidSpec:
         with pytest.raises(ValueError, match="n must be an integer"):
             SolidSpec(n, 1.0)
 
+    @pytest.mark.parametrize("n", [10**6 + 1, 10**400, 1e300])
+    def test_rejects_side_count_above_the_bound(self, n):
+        with pytest.raises(ValueError, match="n must be at most 1000000"):
+            SolidSpec(n, 1.0)
+
+    def test_accepts_side_count_at_the_bound(self):
+        assert SolidSpec(10**6, 1.0).sector_width == 2.0 * math.pi / 10**6
+
+    @pytest.mark.parametrize("R", [1e-30, 1e-14, 1.0, 1e30])
+    def test_tolerance_is_relative_to_R(self, R):
+        assert SolidSpec(4, R).tolerance == 1e-12 * R
+
 
 class TestAngularDomain:
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 12])
