@@ -20,13 +20,11 @@ _EXPORTS = {
     for module, names in {
         "analysis": """MonteCarloResult PlaneSection VolumeReport ellipse_residual
             mesh_plane_section mesh_volume monte_carlo_volume plane_section polygon_area
-            prism_volume pyramid_volume solid_volume volume_report write_section_csv""",
+            prism_volume solid_volume volume_report write_section_csv""",
         "meshing": "MeshResolution NonWatertightError TriangleMesh tessellate write_obj write_stl",
         "slabs": """SlabComparison SlabStack build_slab_stack convergence_profile slab_apothem
             slab_stack_mesh slice_volume write_slab_csv""",
-        "surface": """AngularDomain SolidSpec SurfaceSample base_point inside_mask inside_solid
-            profile_arc_point scaling_factor scaling_factor_array sector_index surface_point
-            surface_sample""",
+        "surface": "SolidSpec inside_mask inside_solid scaling_factor scaling_factor_array surface_point",
     }.items()
     for name in names.split()
 }

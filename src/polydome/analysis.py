@@ -23,12 +23,11 @@ import numpy as np
 
 from ._io import write_text
 from .meshing import MeshResolution, TriangleMesh, tessellate
-from .surface import SolidSpec, inside_mask, scaling_factor, surface_point
+from .surface import SolidSpec, _integer, inside_mask, scaling_factor, surface_point
 
 __all__ = [
     "polygon_area",
     "prism_volume",
-    "pyramid_volume",
     "solid_volume",
     "mesh_volume",
     "MonteCarloResult",
@@ -56,11 +55,6 @@ def polygon_area(spec: SolidSpec) -> float:
 def prism_volume(spec: SolidSpec) -> float:
     """Volume of the prism of height R over the base polygon."""
     return polygon_area(spec) * spec.R
-
-
-def pyramid_volume(spec: SolidSpec) -> float:
-    """Volume of the inscribed pyramid: one third of the prism."""
-    return prism_volume(spec) / 3.0
 
 
 def solid_volume(spec: SolidSpec) -> float:
@@ -95,17 +89,14 @@ def monte_carlo_volume(spec: SolidSpec, samples: int, seed: int = 0) -> MonteCar
     the standard error is box_volume * sqrt(p * (1 - p) / samples).
     Deterministic for a given (samples, seed) pair.
     """
-    if isinstance(samples, bool) or int(samples) != samples or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    if isinstance(seed, bool) or int(seed) != seed or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    samples = int(samples)
+    samples = _integer(samples, "samples", 1)
+    seed = _integer(seed, "seed", 0)
     c = spec.circumradius
     lo = np.array([-c, -c, 0.0])
     span = np.array([2.0 * c, 2.0 * c, spec.R])
     hits = 0
     for chunk, start in enumerate(range(0, samples, _MC_CHUNK)):
-        rng = np.random.default_rng((int(seed), chunk))
+        rng = np.random.default_rng((seed, chunk))
         points = lo + rng.random((min(_MC_CHUNK, samples - start), 3)) * span
         hits += int(inside_mask(points, spec).sum())
     box = 4.0 * c * c * spec.R
@@ -129,8 +120,8 @@ class VolumeReport:
             raise ValueError(f"analytic volume must be positive, got {self.analytic!r}")
         if self.mc_std_error is not None and not self.mc_std_error >= 0:
             raise ValueError(f"mc_std_error must be non-negative, got {self.mc_std_error!r}")
-        if self.sample_count is not None and self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
+        if self.sample_count is not None:
+            object.__setattr__(self, "sample_count", _integer(self.sample_count, "sample_count", 1))
 
     def to_dict(self) -> dict:
         """Plain dict in field order (stable for byte-level diffing)."""
@@ -191,9 +182,7 @@ def plane_section(azimuth: float, spec: SolidSpec, points_per_branch: int = 33) 
     ``points_per_branch`` values of t are spaced uniformly over [0, pi/2],
     so both branches end at the shared apex point (0, R).
     """
-    if isinstance(points_per_branch, bool) or int(points_per_branch) != points_per_branch or points_per_branch < 2:
-        raise ValueError(f"points_per_branch must be an integer >= 2, got {points_per_branch!r}")
-    points_per_branch = int(points_per_branch)
+    points_per_branch = _integer(points_per_branch, "points_per_branch", 2)
 
     def branch(phi: float) -> tuple[tuple[tuple[float, float], ...], float]:
         points = []

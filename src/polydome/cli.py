@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from ._io import write_text
-from .surface import AngularDomain, SolidSpec, scaling_factor
+from .surface import SolidSpec, _integer, scaling_factor
 
 OUTPUT_DIR_ENV = "POLYDOME_OUT_DIR"
 
@@ -99,15 +99,15 @@ def cmd_volume(args) -> int:
 def cmd_slabs(args) -> int:
     spec = SolidSpec(args.n, args.R)
     stack = build_slab_stack(args.m, spec)
+    mesh = slab_stack_mesh(stack, spec) if args.mesh_out else None  # size-checked before any write
     out = _resolve_output(args.output or f"slabs_n{spec.n}_m{stack.m}.csv")
     write_slab_csv(stack, spec, out)
     profile = convergence_profile(stack.m, spec)
     max_gap = max(row.error for row in profile)
     max_sq_gap = max(abs(row.slab_apothem**2 - row.smooth_apothem**2) for row in profile)
     mesh_note = ""
-    if args.mesh_out:
+    if mesh is not None:
         mesh_path = _resolve_output(args.mesh_out)
-        mesh = slab_stack_mesh(stack, spec)
         mesh.require_watertight()
         _write_mesh(mesh, mesh_path, "obj" if mesh_path.suffix.lower() == ".obj" else "stl")
         mesh_note = f" mesh -> {mesh_path}"
@@ -143,24 +143,24 @@ def cmd_xsec(args) -> int:
 
 def cmd_params(args) -> int:
     spec = SolidSpec(args.n, args.R)
-    if args.a_samples < 0:
-        raise ValueError(f"a-samples must be at least 0, got {args.a_samples}")
-    domain = AngularDomain.of(spec)
-    a_min = math.cos(math.pi / spec.n)
+    samples = _integer(args.a_samples, "a-samples", 0)
+    half, width = math.pi / spec.n, spec.sector_width
+    a_min = math.cos(half)
+    # Sector i is [lo, lo + width) with lo = -half + (i-1)*width; the domain is [-half, 2*pi - half).
     print(f"{'sector':>6} {'lo_deg':>10} {'hi_deg':>10} {'mid_deg':>10} {'a_min':>12}")
     for i in range(1, spec.n + 1):
-        lo, hi = domain.sector_interval(i)
-        mid = domain.sector_midline(i)
+        lo = -half + (i - 1) * width
         print(
-            f"{i:>6} {math.degrees(lo):>10.4f} {math.degrees(hi):>10.4f} "
-            f"{math.degrees(mid):>10.4f} {a_min:>12.8f}"
+            f"{i:>6} {math.degrees(lo):>10.4f} {math.degrees(lo + width):>10.4f} "
+            f"{math.degrees((i - 1) * width):>10.4f} {a_min:>12.8f}"
         )
     print(f"{'r_deg':>10} {'a':>12}")
-    for j in range(args.a_samples):
-        r = domain.lo + (j + 0.5) * (domain.hi - domain.lo) / args.a_samples
+    span = (2.0 * math.pi - half) - (-half)
+    for j in range(samples):
+        r = -half + (j + 0.5) * span / samples
         print(f"{math.degrees(r):>10.4f} {scaling_factor(r, spec):>12.8f}")
     print(
-        f"params: n={spec.n} sector_width_deg={math.degrees(domain.sector_width):g} "
+        f"params: n={spec.n} sector_width_deg={math.degrees(width):g} "
         f"a_range=[{a_min:.8f}, 1.0]"
     )
     return 0

@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._io import write_text
-from .meshing import TriangleMesh
-from .surface import SolidSpec
+from .meshing import _MAX_TRIANGLES, TriangleMesh
+from .surface import SolidSpec, _integer
 
 __all__ = [
     "SlabStack",
@@ -28,12 +28,6 @@ __all__ = [
 ]
 
 
-def _check_slab_count(m) -> int:
-    if isinstance(m, bool) or int(m) != m or m < 1:
-        raise ValueError(f"slab count m must be a positive integer, got {m!r}")
-    return int(m)
-
-
 def _footprint_per_apothem_sq(spec: SolidSpec) -> float:
     # regular n-gon area = n * tan(pi/n) * apothem**2
     return spec.n * math.tan(math.pi / spec.n)
@@ -45,9 +39,8 @@ def slice_volume(i: int, m: int, spec: SolidSpec) -> float:
     Closed-form integral of the cross-section area
     ``n * tan(pi/n) * (R**2 - z**2)`` over ``[(i-1)*R/m, i*R/m]``.
     """
-    m = _check_slab_count(m)
-    if isinstance(i, bool) or int(i) != i or not 1 <= i <= m:
-        raise ValueError(f"slab index must lie in 1..{m}, got {i!r}")
+    m = _integer(m, "slab count m", 1)
+    i = _integer(i, "slab index", 1, m)
     R = spec.R
     h = R / m
     z0 = (i - 1) * h
@@ -87,7 +80,7 @@ class SlabStack:
 
 def build_slab_stack(m: int, spec: SolidSpec) -> SlabStack:
     """Stack of ``m`` equal-volume prism slabs spanning heights [0, R]."""
-    m = _check_slab_count(m)
+    m = _integer(m, "slab count m", 1)
     apothems = tuple(slab_apothem(i, m, spec) for i in range(1, m + 1))
     return SlabStack(m=m, slab_height=spec.R / m, apothems=apothems)
 
@@ -99,6 +92,7 @@ def slab_stack_mesh(stack: SlabStack, spec: SolidSpec) -> TriangleMesh:
     below it; both caps are fanned from their first corner.
     """
     n, m = spec.n, stack.m
+    _integer(4 * n * m - 4, "triangle count 4*n*m - 4", 1, _MAX_TRIANGLES)
     cos_half = math.cos(math.pi / n)
     angles = -math.pi / n + np.arange(n) * (2.0 * math.pi / n)
     ux = np.cos(angles) / cos_half

@@ -10,8 +10,8 @@ factor ``a`` is the cosine of the angular offset between the azimuth ``r``
 and the midline of the polygon sector containing it.
 
 All angles are radians; all functions here are pure and thread-safe.  Only
-the two array kernels use numpy, and they import it on first call, so the
-scalar layer (and ``polydome params``) starts without it.
+``scaling_factor_array`` and the membership test use numpy, and they import
+it on first call, so the rest (and ``polydome params``) starts without it.
 """
 
 import math
@@ -20,15 +20,9 @@ from dataclasses import dataclass
 
 __all__ = [
     "SolidSpec",
-    "AngularDomain",
-    "SurfaceSample",
-    "sector_index",
     "scaling_factor",
     "scaling_factor_array",
-    "base_point",
-    "profile_arc_point",
     "surface_point",
-    "surface_sample",
     "inside_solid",
     "inside_mask",
 ]
@@ -89,38 +83,6 @@ class SolidSpec:
         return 1e-12 * self.R
 
 
-@dataclass(frozen=True)
-class AngularDomain:
-    """Azimuth domain [-pi/n, 2*pi - pi/n) split into n half-open sectors."""
-
-    lo: float
-    hi: float
-    sector_width: float
-
-    @classmethod
-    def of(cls, spec: SolidSpec) -> "AngularDomain":
-        half = math.pi / spec.n
-        return cls(lo=-half, hi=_TWO_PI - half, sector_width=2.0 * half)
-
-    def sector_interval(self, i: int) -> tuple[float, float]:
-        """Half-open [lo, hi) azimuth interval of the 1-based sector ``i``."""
-        lo = self.lo + (i - 1) * self.sector_width
-        return lo, lo + self.sector_width
-
-    def sector_midline(self, i: int) -> float:
-        """Azimuth of sector ``i``'s midline (the outward normal of side i)."""
-        return (i - 1) * self.sector_width
-
-
-@dataclass(frozen=True)
-class SurfaceSample:
-    """A parameter pair together with its image point on the dome."""
-
-    r: float
-    t: float
-    point: tuple[float, float, float]
-
-
 def _check_azimuth(r: float) -> None:
     if not math.isfinite(r):
         raise ValueError(f"azimuth must be finite, got {r!r}")
@@ -131,16 +93,18 @@ def _check_profile_parameter(t: float) -> None:
         raise ValueError(f"profile parameter t must lie in [0, pi/2], got {t!r}")
 
 
-def sector_index(r: float, spec: SolidSpec) -> int:
-    """1-based index of the polygon sector containing azimuth ``r``.
+def _sector_offset(r, spec: SolidSpec):
+    """Offset of azimuth ``r`` from the midline of the sector containing it.
 
-    ``r`` is wrapped into [-pi/n, 2*pi - pi/n) first; each sector is the
-    half-open wedge of width 2*pi/n centered on one side's outward normal,
-    and the upper edge of the last sector wraps to the first sector.
+    ``r`` is wrapped into [-pi/n, 2*pi - pi/n), which splits into n
+    half-open sectors of width 2*pi/n, each centered on one side's outward
+    normal.  Only arithmetic operators, so ``r`` may be a float or an array.
     """
-    _check_azimuth(r)
-    u = (r + math.pi / spec.n) % _TWO_PI
-    return int(u // spec.sector_width) % spec.n + 1
+    half = math.pi / spec.n
+    u = (r + half) % _TWO_PI
+    k = u // spec.sector_width
+    k = k * (k < spec.n)  # u may round up to 2*pi, the start of the first sector
+    return u - k * spec.sector_width - half
 
 
 def scaling_factor(r: float, spec: SolidSpec) -> float:
@@ -150,43 +114,21 @@ def scaling_factor(r: float, spec: SolidSpec) -> float:
     polygon at azimuth ``r``; the value lies in [cos(pi/n), 1].
     """
     _check_azimuth(r)
-    half = math.pi / spec.n
-    u = (r + half) % _TWO_PI
-    k = int(u // spec.sector_width) % spec.n
-    return math.cos(u - k * spec.sector_width - half)
+    return math.cos(_sector_offset(r, spec))
 
 
 def scaling_factor_array(r, spec: SolidSpec):
     """Vectorized :func:`scaling_factor` over an array of azimuths."""
     import numpy as np
 
-    half = math.pi / spec.n
-    u = np.mod(np.asarray(r, dtype=float) + half, _TWO_PI)
-    k = np.floor_divide(u, spec.sector_width)
-    k = np.where(k >= spec.n, 0.0, k)
-    return np.cos(u - k * spec.sector_width - half)
-
-
-def base_point(r: float, spec: SolidSpec) -> tuple[float, float]:
-    """Point of the base polygon boundary at azimuth ``r``."""
-    radius = spec.R / scaling_factor(r, spec)
-    return radius * math.cos(r), radius * math.sin(r)
-
-
-def profile_arc_point(t: float, spec: SolidSpec) -> tuple[float, float, float]:
-    """Point of the quarter-circle generator in the xz-plane, t in [0, pi/2]."""
-    _check_profile_parameter(t)
-    if t == _HALF_PI:
-        # cos(pi/2) rounds to 6.1e-17; the arc's top point is exact by definition.
-        return 0.0, 0.0, spec.R
-    return spec.R * math.cos(t), 0.0, spec.R * math.sin(t)
+    return np.cos(_sector_offset(np.asarray(r, dtype=float), spec))
 
 
 def surface_point(r: float, t: float, spec: SolidSpec) -> tuple[float, float, float]:
     """Dome point at azimuth ``r`` and profile parameter ``t`` in [0, pi/2].
 
-    At ``t = 0`` this agrees with :func:`base_point`; at ``t = pi/2`` every
-    azimuth maps to the apex ``(0, 0, R)``.
+    At ``t = 0`` this is the base polygon's boundary point at azimuth ``r``;
+    at ``t = pi/2`` every azimuth maps to the apex ``(0, 0, R)``.
     """
     _check_profile_parameter(t)
     if t == _HALF_PI:
@@ -195,27 +137,16 @@ def surface_point(r: float, t: float, spec: SolidSpec) -> tuple[float, float, fl
     return radius * math.cos(r), radius * math.sin(r), spec.R * math.sin(t)
 
 
-def surface_sample(r: float, t: float, spec: SolidSpec) -> SurfaceSample:
-    """Bundle ``(r, t)`` with its dome point."""
-    return SurfaceSample(float(r), float(t), surface_point(r, t, spec))
-
-
 def inside_solid(p, spec: SolidSpec) -> bool:
     """True iff ``p`` lies in the closed solid (boundary points included)."""
     x, y, z = (float(c) for c in p)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"point coordinates must be finite, got {p!r}")
-    tol = spec.tolerance
-    R = spec.R
-    if z < -tol or z > R + tol:
-        return False
-    a = scaling_factor(math.atan2(y, x), spec)
-    cross_section = math.sqrt(max(R * R - z * z, 0.0))
-    return math.hypot(x, y) * a <= cross_section + tol
+    return bool(inside_mask([(x, y, z)], spec)[0])
 
 
 def inside_mask(points, spec: SolidSpec):
-    """Vectorized :func:`inside_solid` over an (N, 3) array of points."""
+    """Closed-solid membership of each row of an (N, 3) array of points."""
     import numpy as np
 
     pts = np.asarray(points, dtype=float)

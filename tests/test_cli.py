@@ -143,7 +143,7 @@ class TestSlabsCommand:
 
     def test_rejects_zero_slabs(self, capsys):
         code, _, err = run(capsys, "slabs", "--n", "4", "--R", "1", "--m", "0")
-        assert code != 0 and "m must be a positive integer" in err
+        assert code != 0 and "slab count m must be at least 1" in err
 
 
 class TestXsecCommand:
@@ -239,6 +239,10 @@ class TestInputBounds:
         (["params", "--n", "4", "--a-samples", "-3"], "a-samples must be at least 0"),
         (["params", "--n", "1" + "0" * 400], "n must be at most 1000000"),
         (["volume", "--n", "1000001", "--R", "1"], "n must be at most 1000000"),
+        (["mesh", "--n", "1000000", "--R", "1", "-o", "x.stl"], "must be at most 3500000"),
+        (["volume", "--n", "11", "--R", "1", "--mesh-res", "400"], "must be at most 3500000"),
+        (["xsec", "--n", "11", "--R", "1", "--azimuth-deg", "0", "--mesh-res", "400"], "must be at most 3500000"),
+        (["slabs", "--n", "437501", "--R", "1", "--m", "2", "--mesh-out", "x.stl"], "must be at most 3500000"),
     ])
     def test_exits_2_naming_the_bound(self, argv, bound, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -20,7 +20,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from polydome.cli import main
 
@@ -79,6 +78,12 @@ REJECTED = [
     "slabs --n 4 --R 1 --m 0",
     "slabs --n 4 --R 1 --m -3",
     "params --n 4 --a-samples -1",
+    # meshes above the triangle bound
+    "mesh --n 1000000 --R 1 -o x.stl",
+    "mesh --n 11 --R 1 --segments 23 --rings 6917 -o x.stl",
+    "volume --n 11 --R 1 --mesh-res 400",
+    "xsec --n 11 --R 1 --azimuth-deg 0 --mesh-res 400",
+    "slabs --n 437501 --R 1 --m 2 --mesh-out stairs.stl",
 ]
 
 CASES = README + SCALES + SHAPES + REJECTED
@@ -92,8 +97,8 @@ def environment() -> dict:
     return {"numpy": np.__version__, "platform": f"{sys.platform}-{platform.machine()}"}
 
 
-def run_case(case: str) -> dict:
-    """Digests of one CLI run in a fresh output directory."""
+def run_case(case: str) -> tuple[dict, str]:
+    """Digests of one CLI run in a fresh output directory, and its stdout and stderr."""
     with tempfile.TemporaryDirectory() as directory:
         out_dir = Path(directory)
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -111,19 +116,17 @@ def run_case(case: str) -> dict:
             else:
                 os.environ["POLYDOME_OUT_DIR"] = saved
 
-        def digest(text: str) -> str:
-            return _sha(text.replace(str(out_dir), OUT_TOKEN).encode())
-
+        out, err = (stream.getvalue().replace(str(out_dir), OUT_TOKEN) for stream in (stdout, stderr))
         files = {
             path.relative_to(out_dir).as_posix(): _sha(path.read_bytes())
             for path in sorted(out_dir.rglob("*"))
             if path.is_file()
         }
-        return {"exit": code, "stdout": digest(stdout.getvalue()), "stderr": digest(stderr.getvalue()), "files": files}
+        return {"exit": code, "stdout": _sha(out.encode()), "stderr": _sha(err.encode()), "files": files}, out + err
 
 
 def regenerate() -> None:
-    document = {"environment": environment(), "cases": {case: run_case(case) for case in CASES}}
+    document = {"environment": environment(), "cases": {case: run_case(case)[0] for case in CASES}}
     GOLDEN.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
 
 
@@ -133,13 +136,14 @@ def test_outputs_match_the_golden_digests():
     assert sorted(recorded) == sorted(CASES), "golden.json and CASES list different cases; regenerate"
     differing = {}
     for case in CASES:
-        actual = run_case(case)
+        actual, output = run_case(case)
         if actual != recorded[case]:
             differing[case] = {
                 field: {"golden": recorded[case][field], "now": actual[field]}
                 for field in actual
                 if actual[field] != recorded[case][field]
             }
+            differing[case]["output now"] = output[-300:]
     assert not differing, (
         f"golden recorded on {document['environment']}, running on {environment()}; "
         f"{len(differing)} case(s) differ:\n{json.dumps(differing, indent=1)}"

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import struct
 from collections import Counter
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from io_utils import corners_signed_volume, read_obj, read_stl
 from polydome.meshing import (
+    _MAX_TRIANGLES,
     _OBJ_CHUNK,
     MeshResolution,
     NonWatertightError,
@@ -68,6 +70,29 @@ class TestMeshResolution:
         res = MeshResolution(np.int64(3), 4.0)
         assert (res.segments_per_sector, res.rings) == (3, 4)
         assert type(res.segments_per_sector) is int and type(res.rings) is int
+
+
+class TestMeshSizeBound:
+    """Meshes above the triangle bound are refused before anything is allocated."""
+
+    @pytest.mark.parametrize("n,segments,rings", [(3, 1, 1), (4, 2, 3), (7, 5, 4)])
+    def test_bounded_counts_are_the_built_counts(self, n, segments, rings):
+        dome = tessellate(SolidSpec(n, 1.0), MeshResolution(segments, rings))
+        assert dome.triangle_count + dome.dropped_triangles == 2 * n * segments * rings
+        stairs = slab_stack_mesh(build_slab_stack(rings, SolidSpec(n, 1.0)), SolidSpec(n, 1.0))
+        assert stairs.triangle_count == 4 * n * rings - 4
+
+    def test_dome_above_the_bound(self):
+        rings = _MAX_TRIANGLES // (2 * 11 * 23) + 1
+        bound = f"triangle count 2*n*segments*rings must be at most {_MAX_TRIANGLES}, got {2 * 11 * 23 * rings}"
+        with pytest.raises(ValueError, match=re.escape(bound)):
+            tessellate(SolidSpec(11, 1.0), MeshResolution(23, rings))
+
+    def test_staircase_above_the_bound(self):
+        spec = SolidSpec((_MAX_TRIANGLES + 4) // 8 + 1, 1.0)
+        bound = f"triangle count 4*n*m - 4 must be at most {_MAX_TRIANGLES}, got {8 * spec.n - 4}"
+        with pytest.raises(ValueError, match=re.escape(bound)):
+            slab_stack_mesh(build_slab_stack(2, spec), spec)
 
 
 class TestTriangleMesh:

@@ -5,20 +5,34 @@ import numpy as np
 import pytest
 
 from polydome.surface import (
-    AngularDomain,
     SolidSpec,
-    base_point,
+    _sector_offset,
     inside_mask,
     inside_solid,
-    profile_arc_point,
     scaling_factor,
     scaling_factor_array,
-    sector_index,
     surface_point,
-    surface_sample,
 )
 
 TAU = 2.0 * math.pi
+
+
+def sector_index(r, spec):
+    """1-based sector of azimuth ``r``, read off its offset from the sector midline."""
+    midline = r - _sector_offset(r, spec)
+    return round(midline / spec.sector_width) % spec.n + 1
+
+
+def base_point(r, spec):
+    """Base polygon boundary point at azimuth ``r``: the surface at t = 0."""
+    x, y, z = surface_point(r, 0.0, spec)
+    assert z == 0.0
+    return x, y
+
+
+def profile_arc_point(t, spec):
+    """The quarter-circle generator: the surface over the first sector's midline."""
+    return surface_point(0.0, t, spec)
 
 
 class TestSolidSpec:
@@ -68,23 +82,29 @@ class TestSolidSpec:
 
 
 class TestAngularDomain:
+    """The azimuth domain [-pi/n, 2*pi - pi/n) and its n half-open sectors."""
+
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 12])
     def test_full_turn(self, n):
-        dom = AngularDomain.of(SolidSpec(n, 1.0))
-        assert abs((dom.hi - dom.lo) - TAU) < 1e-12
-        assert dom.lo == pytest.approx(-math.pi / n)
+        spec = SolidSpec(n, 1.0)
+        assert abs(n * spec.sector_width - TAU) < 1e-12
+        assert _sector_offset(-math.pi / n, spec) == -math.pi / n  # the domain starts a sector
+        for r in np.linspace(-3.0, 3.0, 61):
+            assert abs(_sector_offset(r + TAU, spec) - _sector_offset(r, spec)) < 1e-12
 
     def test_sector_intervals_tile_the_domain(self):
-        dom = AngularDomain.of(SolidSpec(5, 1.0))
-        for i in range(1, 5):
-            assert dom.sector_interval(i)[1] == pytest.approx(dom.sector_interval(i + 1)[0])
-        assert dom.sector_interval(5)[1] == pytest.approx(dom.hi)
+        spec = SolidSpec(5, 1.0)
+        half, eps = math.pi / 5, 1e-9
+        for i in range(1, 6):
+            lo = -half + (i - 1) * spec.sector_width
+            assert _sector_offset(lo + eps, spec) == pytest.approx(eps - half, abs=1e-12)
+            assert _sector_offset(lo + spec.sector_width - eps, spec) == pytest.approx(half - eps, abs=1e-12)
+        assert lo + spec.sector_width == pytest.approx(TAU - half)
 
     def test_midlines(self):
-        dom = AngularDomain.of(SolidSpec(4, 1.0))
-        assert [dom.sector_midline(i) for i in range(1, 5)] == pytest.approx(
-            [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
-        )
+        spec = SolidSpec(4, 1.0)
+        for midline in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
+            assert _sector_offset(midline, spec) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSectorIndex:
@@ -107,14 +127,13 @@ class TestSectorIndex:
 
     def test_every_sector_reachable(self):
         spec = SolidSpec(7, 1.0)
-        dom = AngularDomain.of(spec)
-        hits = {sector_index(dom.sector_midline(i), spec) for i in range(1, 8)}
+        hits = {sector_index((i - 1) * spec.sector_width, spec) for i in range(1, 8)}
         assert hits == set(range(1, 8))
 
     @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite(self, r):
-        with pytest.raises(ValueError):
-            sector_index(r, SolidSpec(4, 1.0))
+        with pytest.raises(ValueError, match="azimuth must be finite"):
+            scaling_factor(r, SolidSpec(4, 1.0))
 
 
 class TestScalingFactor:
@@ -163,6 +182,25 @@ class TestScalingFactor:
         vector = scaling_factor_array(r, spec)
         scalar = np.array([scaling_factor(float(v), spec) for v in r])
         assert (vector == scalar).all()
+
+
+class TestWrapGuard:
+    """Just below -pi/n, the wrapped azimuth can round up to 2*pi: the first sector again."""
+
+    def test_scalar_and_array_agree_at_the_wrap(self):
+        fired = 0
+        for n in range(3, 200):
+            spec = SolidSpec(n, 1.0)
+            half = math.pi / n
+            r = math.nextafter(-half, -math.inf)
+            a = scaling_factor(r, spec)
+            assert a == scaling_factor_array(np.array([r]), spec)[0]  # a > 0, so == is bitwise
+            assert abs(a - math.cos(half)) <= 1e-15
+            u = (r + half) % TAU
+            if u // spec.sector_width >= n:
+                fired += 1
+                assert a == math.cos(u - half)  # sector 1, not sector n + 1
+        assert fired > 0
 
 
 def _point_segment_distance(p, a, b):
@@ -258,10 +296,11 @@ class TestSurfacePoint:
         assert (x, y, z) == pytest.approx((0.5, 0.5, math.sqrt(3.0) / 2), abs=1e-12)
 
     def test_matches_base_point_at_t_zero(self):
+        # at t = 0 the surface is the base polygon's boundary
         spec = SolidSpec(5, 2.0)
         for r in np.linspace(-3.0, 7.0, 40):
             x, y, z = surface_point(float(r), 0.0, spec)
-            assert (x, y) == pytest.approx(base_point(float(r), spec))
+            assert _polygon_distance((x, y), spec) < 1e-12 * spec.R
             assert z == 0.0
 
     def test_rotation_matrix_route_agrees(self):
@@ -318,8 +357,7 @@ class TestSurfaceSample:
         for _ in range(100):
             r = float(rng.uniform(-6.0, 6.0))
             t = float(rng.uniform(0.0, math.pi / 2))
-            sample = surface_sample(r, t, spec)
-            x, y, z = sample.point
+            x, y, z = surface_point(r, t, spec)
             assert abs(z - spec.R * math.sin(t)) < 1e-12 * spec.R
             expected_rho = (spec.R / scaling_factor(r, spec)) * math.cos(t)
             assert abs(math.hypot(x, y) - expected_rho) < 1e-12 * spec.R
