@@ -18,6 +18,7 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -102,19 +103,9 @@ def run_case(case: str) -> tuple[dict, str]:
     with tempfile.TemporaryDirectory() as directory:
         out_dir = Path(directory)
         stdout, stderr = io.StringIO(), io.StringIO()
-        saved = os.environ.get("POLYDOME_OUT_DIR")
-        os.environ["POLYDOME_OUT_DIR"] = str(out_dir)
-        try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                try:
-                    code = main(case.split())
-                except SystemExit as exc:  # argparse rejections
-                    code = exc.code
-        finally:
-            if saved is None:
-                del os.environ["POLYDOME_OUT_DIR"]
-            else:
-                os.environ["POLYDOME_OUT_DIR"] = saved
+        with mock.patch.dict(os.environ, {"POLYDOME_OUT_DIR": str(out_dir)}), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(case.split())
 
         out, err = (stream.getvalue().replace(str(out_dir), OUT_TOKEN) for stream in (stdout, stderr))
         files = {
