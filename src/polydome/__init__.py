@@ -22,8 +22,8 @@ _EXPORTS = {
             mesh_plane_section mesh_volume monte_carlo_volume plane_section polygon_area
             prism_volume solid_volume volume_report write_section_csv""",
         "meshing": "MeshResolution NonWatertightError TriangleMesh tessellate write_obj write_stl",
-        "slabs": """SlabComparison SlabStack build_slab_stack convergence_profile slab_apothem
-            slab_stack_mesh slice_volume write_slab_csv""",
+        "slabs": """SlabComparison SlabStack build_slab_stack convergence_profile slab_stack_mesh
+            slice_volume write_slab_csv""",
         "surface": "SolidSpec inside_mask inside_solid scaling_factor scaling_factor_array surface_point",
     }.items()
     for name in names.split()

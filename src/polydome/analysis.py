@@ -46,6 +46,11 @@ __all__ = [
 # and are reproducible no matter how chunks are scheduled across workers.
 _MC_CHUNK = 1 << 17
 
+# Largest counts.  At each bound on x86-64 with numpy 2.4, ``volume`` took 10.5 s
+# in 45 MB (one chunk at a time) and ``xsec`` 0.9 s in 90 MB.
+_MC_SAMPLES_MAX = 100_000_000
+_POINTS_MAX = 100_000
+
 
 def polygon_area(spec: SolidSpec) -> float:
     """Area of the base polygon: n * R**2 * tan(pi/n)."""
@@ -89,7 +94,7 @@ def monte_carlo_volume(spec: SolidSpec, samples: int, seed: int = 0) -> MonteCar
     the standard error is box_volume * sqrt(p * (1 - p) / samples).
     Deterministic for a given (samples, seed) pair.
     """
-    samples = _integer(samples, "samples", 1)
+    samples = _integer(samples, "samples", 1, _MC_SAMPLES_MAX)
     seed = _integer(seed, "seed", 0)
     c = spec.circumradius
     lo = np.array([-c, -c, 0.0])
@@ -182,7 +187,7 @@ def plane_section(azimuth: float, spec: SolidSpec, points_per_branch: int = 33) 
     ``points_per_branch`` values of t are spaced uniformly over [0, pi/2],
     so both branches end at the shared apex point (0, R).
     """
-    points_per_branch = _integer(points_per_branch, "points_per_branch", 2)
+    points_per_branch = _integer(points_per_branch, "points_per_branch", 2, _POINTS_MAX)
 
     def branch(phi: float) -> tuple[tuple[tuple[float, float], ...], float]:
         points = []
@@ -286,8 +291,7 @@ def _weld_sorted(points: list[tuple[float, float]], tol: float) -> tuple[tuple[f
 
 def write_section_csv(section: PlaneSection, sink) -> int:
     """Write branch points as CSV rows (branch, rho, z); returns line count."""
-    lines = ["branch,rho,z"]
-    for name, points in (("pos", section.branch_pos), ("neg", section.branch_neg)):
-        lines.extend(f"{name},{rho!r},{z!r}" for rho, z in points)
-    write_text(sink, "\n".join(lines) + "\n")
-    return len(lines)
+    branches = [(f"{name},%r,%r\n", np.array(points, dtype=float).reshape(-1, 2))
+                for name, points in (("pos", section.branch_pos), ("neg", section.branch_neg))]
+    write_text(sink, "branch,rho,z\n", *branches)
+    return 1 + len(section.branch_pos) + len(section.branch_neg)

@@ -23,9 +23,6 @@ _STL_HEADER_TAG = b"polydome binary STL"
 # 50 bytes per triangle: float32 normal, three float32 vertices, uint16 attribute.
 _STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attr", "<u2")])
 
-# Rows per OBJ formatting call: bounds the temporary Python list a chunk needs.
-_OBJ_CHUNK = 1 << 14
-
 # Largest mesh built.  At the bound, building, checking and writing a mesh
 # peaked at 740 MB (dome) and 800 MB (staircase) on x86-64 with numpy 2.4.
 _MAX_TRIANGLES = 3_500_000
@@ -228,18 +225,9 @@ def write_stl(mesh: TriangleMesh, destination) -> int:
     return len(payload)
 
 
-def _obj_records(record: str, rows: np.ndarray) -> str:
-    """``record`` formatted once per row, ``_OBJ_CHUNK`` rows per ``%``."""
-    return "".join(
-        (record * len(chunk)) % tuple(chunk.ravel().tolist())
-        for chunk in (rows[start:start + _OBJ_CHUNK] for start in range(0, len(rows), _OBJ_CHUNK))
-    )
-
-
 def write_obj(mesh: TriangleMesh, destination) -> int:
     """Write text OBJ (``v``/``f`` records only, LF endings, 9 significant
     digits) and return the number of lines written."""
-    text = _obj_records("v %.9g %.9g %.9g\n", mesh.vertices)
-    text += _obj_records("f %d %d %d\n", mesh.triangles + 1)
-    write_text(destination, text)
+    vertices, faces = ("v %.9g %.9g %.9g\n", mesh.vertices), ("f %d %d %d\n", mesh.triangles + 1)
+    write_text(destination, "", vertices, faces)
     return mesh.vertex_count + mesh.triangle_count

@@ -87,24 +87,20 @@ def test_criterion_4_mesh_level_ellipse_check():
 
 
 def test_criterion_5_slab_construction():
+    def squared_gaps(m):
+        profile = convergence_profile(build_slab_stack(m, SQUARE), SQUARE)
+        return profile.smooth_apothem**2 - profile.slab_apothem**2
+
     with criterion(5, "slab construction", 5.0):
         analytic = solid_volume(SQUARE)
         for m in (1, 2, 7, 32, 128):
             total = sum(slice_volume(i, m, SQUARE) for i in range(1, m + 1))
             assert abs(total - analytic) / analytic < 1e-12
             h = SQUARE.R / m
-            for row in convergence_profile(m, SQUARE):
-                gap = row.smooth_apothem**2 - row.slab_apothem**2
-                assert abs(gap - h * h / 12.0) < 1e-12
+            assert (abs(squared_gaps(m) - h * h / 12.0) < 1e-12).all()
         # the squared-apothem gap is (R/m)^2/12 for every slab, so its max
         # drops by a factor of four per doubling of m
-        gaps = {
-            m: max(
-                abs(row.smooth_apothem**2 - row.slab_apothem**2)
-                for row in convergence_profile(m, SQUARE)
-            )
-            for m in (8, 16, 32, 64, 128)
-        }
+        gaps = {m: abs(squared_gaps(m)).max() for m in (8, 16, 32, 64, 128)}
         for m in (8, 16, 32, 64):
             assert 3.0 <= gaps[m] / gaps[2 * m] <= 5.0
 

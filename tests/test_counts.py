@@ -5,8 +5,8 @@ import argparse
 import pytest
 
 from polydome import cli
-from polydome.analysis import VolumeReport, monte_carlo_volume, plane_section
-from polydome.slabs import build_slab_stack, slice_volume
+from polydome.analysis import _MC_SAMPLES_MAX, _POINTS_MAX, VolumeReport, monte_carlo_volume, plane_section
+from polydome.slabs import _M_MAX, build_slab_stack, slice_volume
 from polydome.surface import SolidSpec
 
 SQUARE = SolidSpec(4, 1.0)
@@ -20,6 +20,14 @@ COUNTS = {
     "slab count m": (lambda k: build_slab_stack(k, SQUARE), 1),
     "slab index": (lambda k: slice_volume(k, 3, SQUARE), 1),
     "a-samples": (lambda k: cli.cmd_params(argparse.Namespace(n=4, R=1.0, a_samples=k)), 0),
+}
+
+# The counts that drive time or memory -> their largest accepted value.
+MAXIMA = {
+    "samples": _MC_SAMPLES_MAX,
+    "points_per_branch": _POINTS_MAX,
+    "slab count m": _M_MAX,
+    "a-samples": cli._A_SAMPLES_MAX,
 }
 
 
@@ -42,6 +50,14 @@ def test_non_integers_are_rejected(name, value):
     call, _ = COUNTS[name]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
         call(value)
+
+
+@pytest.mark.parametrize("name", MAXIMA)
+def test_one_above_the_maximum_is_rejected(name):
+    call, _ = COUNTS[name]
+    maximum = MAXIMA[name]
+    with pytest.raises(ValueError, match=f"^{name} must be at most {maximum}, got {maximum + 1}$"):
+        call(maximum + 1)
 
 
 def test_slab_index_above_the_count_is_rejected():

@@ -85,6 +85,11 @@ REJECTED = [
     "volume --n 11 --R 1 --mesh-res 400",
     "xsec --n 11 --R 1 --azimuth-deg 0 --mesh-res 400",
     "slabs --n 437501 --R 1 --m 2 --mesh-out stairs.stl",
+    # counts one above their bounds
+    "slabs --n 4 --R 1 --m 2000001",
+    "volume --n 4 --R 1 --mc-samples 100000001",
+    "xsec --n 4 --R 1 --azimuth-deg 0 --points 100001",
+    "params --n 4 --a-samples 100001",
 ]
 
 CASES = README + SCALES + SHAPES + REJECTED
@@ -117,8 +122,17 @@ def run_case(case: str) -> tuple[dict, str]:
 
 
 def regenerate() -> None:
-    document = {"environment": environment(), "cases": {case: run_case(case)[0] for case in CASES}}
-    GOLDEN.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+    """Rewrite golden.json and print each case whose digests changed, were added or were removed."""
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else {}
+    cases = {case: run_case(case)[0] for case in CASES}
+    GOLDEN.write_text(json.dumps({"environment": environment(), "cases": cases}, indent=1, sort_keys=True) + "\n")
+    for case in sorted(old.keys() | cases.keys()):
+        if case not in cases:
+            print(f"removed: {case}")
+        elif case not in old:
+            print(f"added: {case}")
+        elif old[case] != cases[case]:
+            print(f"changed: {case}")
 
 
 def test_outputs_match_the_golden_digests():

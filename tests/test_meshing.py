@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from io_utils import corners_signed_volume, read_obj, read_stl
+from polydome._io import _CHUNK_ROWS
 from polydome.meshing import (
     _MAX_TRIANGLES,
-    _OBJ_CHUNK,
     MeshResolution,
     NonWatertightError,
     TriangleMesh,
@@ -392,8 +392,8 @@ OBJ_EDGE_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, -2.
 
 class TestWriteObj:
     @pytest.mark.parametrize("vertex_count,triangle_count", [
-        (0, 0), (1, 0), (1, 1), (3, _OBJ_CHUNK - 1), (_OBJ_CHUNK - 1, _OBJ_CHUNK + 1),
-        (_OBJ_CHUNK, _OBJ_CHUNK), (_OBJ_CHUNK + 1, _OBJ_CHUNK - 1), (_OBJ_CHUNK + 1, 1),
+        (0, 0), (1, 0), (1, 1), (3, _CHUNK_ROWS - 1), (_CHUNK_ROWS - 1, _CHUNK_ROWS + 1),
+        (_CHUNK_ROWS, _CHUNK_ROWS), (_CHUNK_ROWS + 1, _CHUNK_ROWS - 1), (_CHUNK_ROWS + 1, 1),
     ])
     def test_matches_per_line_reference(self, vertex_count, triangle_count):
         rng = np.random.default_rng(vertex_count + triangle_count)

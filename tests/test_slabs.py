@@ -1,7 +1,11 @@
+import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from polydome.analysis import solid_volume
@@ -9,7 +13,6 @@ from polydome.slabs import (
     SlabStack,
     build_slab_stack,
     convergence_profile,
-    slab_apothem,
     slab_stack_mesh,
     slice_volume,
     write_slab_csv,
@@ -64,12 +67,22 @@ class TestSliceVolume:
             slice_volume(i, m, SQUARE)
 
 
+def csv_rows(stack, spec):
+    sink = io.StringIO()
+    write_slab_csv(stack, spec, sink)
+    return [[float(field) for field in line.split(",")] for line in sink.getvalue().splitlines()[1:]]
+
+
+def profile(m, spec):
+    return convergence_profile(build_slab_stack(m, spec), spec)
+
+
 class TestSlabApothem:
     def test_single_slab(self):
-        assert slab_apothem(1, 1, SQUARE) == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
+        assert build_slab_stack(1, SQUARE).apothems[0] == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
 
     def test_bottom_slab_tends_to_base_apothem(self):
-        assert slab_apothem(1, 10**6, SolidSpec(6, 2.0)) == pytest.approx(2.0, rel=1e-9)
+        assert build_slab_stack(10**6, SolidSpec(6, 2.0)).apothems[0] == pytest.approx(2.0, rel=1e-9)
 
     @pytest.mark.parametrize("n,R", [(4, 1.0), (5, 2.5), (3, 0.5)])
     @pytest.mark.parametrize("m", [1, 2, 7, 32])
@@ -78,9 +91,8 @@ class TestSlabApothem:
         # below its midpoint value, exactly
         spec = SolidSpec(n, R)
         h = spec.R / m
-        for i in range(1, m + 1):
+        for i, apothem in enumerate(build_slab_stack(m, spec).apothems, start=1):
             z_mid = (i - 0.5) * h
-            apothem = slab_apothem(i, m, spec)
             gap = (spec.R**2 - z_mid**2) - apothem**2
             assert abs(gap - h * h / 12.0) < 1e-12 * max(1.0, spec.R**2)
 
@@ -89,7 +101,7 @@ class TestBuildSlabStack:
     def test_single_slab(self):
         stack = build_slab_stack(1, SQUARE)
         assert stack.m == 1
-        assert stack.apothems == (pytest.approx(math.sqrt(2.0 / 3.0)),)
+        assert stack.apothems.tolist() == [pytest.approx(math.sqrt(2.0 / 3.0))]
 
     def test_apothems_strictly_decreasing_and_bounded(self):
         stack = build_slab_stack(4, SQUARE)
@@ -97,9 +109,13 @@ class TestBuildSlabStack:
         assert all(0.0 < a <= SQUARE.R for a in stack.apothems)
 
     def test_stack_height(self):
-        stack = build_slab_stack(7, SolidSpec(5, 2.5))
+        spec = SolidSpec(5, 2.5)
+        stack = build_slab_stack(7, spec)
         assert abs(stack.m * stack.slab_height - 2.5) < 1e-12 * 2.5
-        assert stack.z_bounds(1) == (0.0, stack.slab_height)
+        rows = csv_rows(stack, spec)
+        assert rows[0][1:3] == [0.0, stack.slab_height]
+        assert [row[1] for row in rows[1:]] == [row[2] for row in rows[:-1]]
+        assert abs(rows[-1][2] - 2.5) < 1e-12 * 2.5
 
     @pytest.mark.parametrize("m", [1, 2, 7, 32, 128])
     def test_volume_preserved_for_any_slab_count(self, m):
@@ -117,6 +133,85 @@ class TestBuildSlabStack:
     def test_stack_validation_rejects_non_decreasing(self):
         with pytest.raises(ValueError):
             SlabStack(m=2, slab_height=0.5, apothems=(0.5, 0.9))
+
+    @pytest.mark.parametrize("apothems", [
+        (math.nextafter(0.5, 1.0), 0.5, 5e-324),  # one ulp apart, subnormal top
+        (1.7976931348623157e308,),  # largest finite bottom
+    ])
+    def test_stack_validation_accepts_its_boundaries(self, apothems):
+        assert SlabStack(len(apothems), 1.0, apothems).apothems.tolist() == list(apothems)
+
+    @pytest.mark.parametrize("apothems", [
+        (0.9, 0.0),  # top exactly zero
+        (0.9, -0.0),
+        (0.9, 0.5, 0.5),  # equal neighbours
+        (0.9, 0.5, 0.5, 0.1),
+        (math.inf, 0.5),
+        (math.nan,),
+        (math.nan, 0.5, 0.1),
+        (0.9, math.nan, 0.1),
+        (0.9, 0.5, math.nan),
+    ])
+    def test_stack_validation_rejects_each_boundary(self, apothems):
+        with pytest.raises(ValueError, match="^slab apothems must be positive and strictly decreasing$"):
+            SlabStack(len(apothems), 1.0, apothems)
+
+    @pytest.mark.parametrize("m,apothems", [(3, (0.9, 0.5)), (1, (0.9, 0.5)), (2, ((0.9, 0.5),)), (0, ())])
+    def test_stack_validation_rejects_a_wrong_length(self, m, apothems):
+        with pytest.raises(ValueError, match=f"^expected {m} apothems, got shape "):
+            SlabStack(m, 1.0, apothems)
+
+    def test_apothems_are_a_read_only_copy(self):
+        source = np.array([0.9, 0.5])
+        stack = SlabStack(2, 0.5, source)
+        source[0] = 0.1
+        assert stack.apothems.tolist() == [0.9, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            stack.apothems[0] = 1.0
+
+
+def exact_apothem(i, m, R):
+    """Correctly rounded sqrt of the slice mean of R**2 - z**2, in exact arithmetic."""
+    R = Fraction(R)
+    h = R / m
+    square = R * R - ((i - Fraction(1, 2)) * h) ** 2 - h * h / 12
+    shift = 200 - (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+    return float(Fraction(math.isqrt(square.numerator * 4**shift // square.denominator), 2**shift))
+
+
+class TestExactness:
+    """The slab layer carries no cancellation: it is exact to about an ulp at every m."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(3, 16),
+        exponent=st.floats(-30.0, 30.0),
+        m=st.integers(1, 10**6),
+        data=st.data(),
+    )
+    def test_apothems_are_within_two_ulps_of_the_exact_value(self, n, exponent, m, data):
+        R = min(max(10.0**exponent, 1e-30), 1e30)
+        apothems = build_slab_stack(m, SolidSpec(n, R)).apothems
+        sampled = data.draw(st.lists(st.integers(1, m), max_size=8))
+        for i in {1, m, *sampled}:
+            exact = exact_apothem(i, m, R)
+            assert abs(apothems[i - 1] - exact) <= 2 * math.ulp(exact), (i, apothems[i - 1], exact)
+
+    @pytest.mark.parametrize("n,R", [(4, 1.0), (5, 1e-30), (3, 1e30)])
+    @pytest.mark.parametrize("m", [1, 2000, 10**5])
+    def test_csv_volumes_sum_to_the_solid(self, n, R, m):
+        spec = SolidSpec(n, R)
+        total = math.fsum(row[4] for row in csv_rows(build_slab_stack(m, spec), spec))
+        assert abs(total - solid_volume(spec)) <= 1e-15 * solid_volume(spec)
+
+    @pytest.mark.parametrize("n,R", [(4, 1.0), (9, 1e30)])
+    @pytest.mark.parametrize("m", [10**4, 10**5, 10**6])
+    def test_midpoint_law_holds_at_large_m(self, n, R, m):
+        spec = SolidSpec(n, R)
+        rows = profile(m, spec)
+        law = (spec.R / m) ** 2 / 12.0
+        gaps = rows.smooth_apothem**2 - rows.slab_apothem**2
+        assert abs(gaps.max() - law) <= 0.02 * law and abs(gaps.min() - law) <= 0.02 * law
 
 
 def reference_staircase(stack, spec):
@@ -182,35 +277,35 @@ class TestSlabStackMesh:
 
 class TestConvergenceProfile:
     def test_single_slab_row(self):
-        (row,) = convergence_profile(1, SQUARE)
-        assert row.z_mid == pytest.approx(0.5)
-        assert row.slab_apothem == pytest.approx(math.sqrt(2.0 / 3.0))
-        assert row.smooth_apothem == pytest.approx(math.sqrt(0.75))
+        rows = profile(1, SQUARE)
+        assert all(len(column) == 1 for column in rows)
+        z_mid, slab, smooth, error = (column[0] for column in rows)
+        assert z_mid == pytest.approx(0.5)
+        assert slab == pytest.approx(math.sqrt(2.0 / 3.0))
+        assert smooth == pytest.approx(math.sqrt(0.75))
         # |sqrt(2/3) - sqrt(3)/2|
-        assert row.error == pytest.approx(0.04952882285671256, abs=1e-15)
+        assert error == pytest.approx(0.04952882285671256, abs=1e-15)
 
     def test_bottom_slab_error_is_smallest(self):
-        rows = convergence_profile(20, SQUARE)
-        assert rows[0].error == min(row.error for row in rows)
+        errors = profile(20, SQUARE).error
+        assert errors[0] == errors.min()
 
     def test_bottom_slab_error_halves_twice_per_doubling(self):
-        bottom_10 = convergence_profile(10, SQUARE)[0].error
-        bottom_20 = convergence_profile(20, SQUARE)[0].error
+        bottom_10 = profile(10, SQUARE).error[0]
+        bottom_20 = profile(20, SQUARE).error[0]
         assert bottom_10 / bottom_20 == pytest.approx(4.0, rel=0.02)
 
     def test_squared_apothem_gap_ratio_is_exactly_four(self):
         # (R^2 - z_mid^2) - apothem^2 = (R/m)^2 / 12 for every slab, so the
         # max squared gap scales exactly like m^-2
         def max_squared_gap(m):
-            return max(
-                abs(row.slab_apothem**2 - row.smooth_apothem**2)
-                for row in convergence_profile(m, SQUARE)
-            )
+            rows = profile(m, SQUARE)
+            return np.abs(rows.slab_apothem**2 - rows.smooth_apothem**2).max()
 
         assert max_squared_gap(10) / max_squared_gap(20) == pytest.approx(4.0, rel=1e-9)
 
     def test_max_plain_error_non_increasing_under_doubling(self):
-        errors = [max(r.error for r in convergence_profile(m, SQUARE)) for m in (5, 10, 20, 40, 80)]
+        errors = [profile(m, SQUARE).error.max() for m in (5, 10, 20, 40, 80)]
         assert errors == sorted(errors, reverse=True)
 
     @pytest.mark.parametrize("n,R", [(4, 1.0), (5, 2.0)])
@@ -219,12 +314,21 @@ class TestConvergenceProfile:
         # surface point at that height, for any azimuth
         spec = SolidSpec(n, R)
         rng = np.random.default_rng(8)
-        for row in convergence_profile(9, spec):
-            t = math.asin(row.z_mid / spec.R)
+        rows = profile(9, spec)
+        for z_mid, smooth in zip(rows.z_mid, rows.smooth_apothem):
+            t = math.asin(z_mid / spec.R)
             r = float(rng.uniform(-7.0, 7.0))
             x, y, _ = surface_point(r, t, spec)
             radius = math.hypot(x, y) * scaling_factor(r, spec)
-            assert abs(radius - row.smooth_apothem) < 1e-12 * max(1.0, R)
+            assert abs(radius - smooth) < 1e-12 * max(1.0, R)
+
+    def test_columns_are_the_stack_and_its_mid_heights(self):
+        spec = SolidSpec(7, 3.0)
+        stack = build_slab_stack(50, spec)
+        rows = convergence_profile(stack, spec)
+        assert rows.slab_apothem.tobytes() == stack.apothems.tobytes()
+        assert rows.z_mid.tolist() == [(i - 0.5) * stack.slab_height for i in range(1, 51)]
+        assert rows.error.tolist() == [abs(a - b) for a, b in zip(rows.slab_apothem.tolist(), rows.smooth_apothem.tolist())]
 
 
 class TestSlabCsv:
